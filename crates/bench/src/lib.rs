@@ -13,9 +13,8 @@
 //! * `tables bench`  — the hermetic perf harness: micro-benchmarks of
 //!   the run-time primitives plus a fig13-style tcon run, written as
 //!   machine-readable `BENCH_runtime.json` (perf trajectory across PRs).
-//!
-//! Micro-benchmarks live in `benches/` (self-timing, no external
-//! harness).
+//!   Its micro-benchmarks self-time through [`timer`] (no external
+//!   harness).
 
 pub mod prng;
 pub mod profile;

@@ -1,12 +1,10 @@
 //! Minimal self-timing micro-benchmark support (hermetic replacement
 //! for the external criterion harness).
 //!
-//! `cargo bench` runs each `benches/*.rs` binary with `harness = false`;
-//! those binaries call [`bench()`] per case. Measurements warm up briefly,
-//! then repeat the closure until a time budget is spent and report the
-//! *median* of per-batch averages — robust to scheduler noise, which is
-//! all a repo-CI smoke needs. For the machine-readable perf trajectory
-//! use `tables bench` (it writes `BENCH_runtime.json`).
+//! [`bench_with_budget`] warms up briefly, then repeats the closure
+//! until a time budget is spent and reports the *median* of per-batch
+//! averages — robust to scheduler noise. `tables bench` times each of
+//! its cases this way (it writes `BENCH_runtime.json`).
 
 use std::time::Instant;
 
@@ -60,11 +58,6 @@ pub fn bench_with_budget(name: &str, budget_ms: u64, mut f: impl FnMut()) -> Sam
         secs_per_iter: median,
         iters,
     }
-}
-
-/// [`bench_with_budget`] with the default 300 ms budget.
-pub fn bench(name: &str, f: impl FnMut()) -> Sample {
-    bench_with_budget(name, 300, f)
 }
 
 #[cfg(test)]

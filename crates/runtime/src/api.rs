@@ -23,7 +23,6 @@ pub use crate::engine::{
     Engine, EngineConfig, EngineCore, PropagationPolicy, ReadView, RegionCx, RegionState, SmlSim,
 };
 pub use crate::error::CealError;
-#[cfg(feature = "event-hooks")]
 pub use crate::obs::{Attribution, SiteRow, TraceRecorder};
 pub use crate::obs::{CountingHook, Event, EventHook, Phase, PhaseKind, Profile, TraceKind};
 pub use crate::program::{

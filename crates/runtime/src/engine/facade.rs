@@ -15,9 +15,7 @@ use std::sync::Arc;
 use super::core::{EngineConfig, EngineCore, PropagationPolicy};
 use super::region::{RegionCx, RegionState};
 use crate::error::CealError;
-#[cfg(feature = "event-hooks")]
-use crate::obs::EventHook;
-use crate::obs::Profile;
+use crate::obs::{EventHook, Profile};
 use crate::program::Program;
 use crate::stats::{OpCounters, Stats};
 use crate::value::{FuncId, Interner, Loc, ModRef, StrId, Value};
@@ -215,13 +213,11 @@ impl Engine {
     /// re-execution, memo hit/miss, allocation stealing, trace
     /// create/purge, and order-maintenance sites. Replaces any
     /// previously installed hook.
-    #[cfg(feature = "event-hooks")]
     pub fn set_event_hook(&mut self, hook: Box<dyn EventHook>) {
         self.state.hook = Some(hook);
     }
 
     /// Removes and returns the installed event hook, if any.
-    #[cfg(feature = "event-hooks")]
     pub fn clear_event_hook(&mut self) -> Option<Box<dyn EventHook>> {
         self.state.hook.take()
     }

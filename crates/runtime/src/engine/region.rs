@@ -16,9 +16,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use super::core::{EngineCore, PropagationPolicy};
 use crate::heap::{BlockKind, Heap, NIL};
-#[cfg(feature = "event-hooks")]
-use crate::obs::EventHook;
-use crate::obs::{Event, PhaseKind, Profiler, TraceKind};
+use crate::obs::{Event, EventHook, PhaseKind, Profiler, TraceKind};
 use crate::order::{OrderList, OrderStats, Time};
 use crate::program::{ArgVec, Program, Tail};
 use crate::stats::{cost, OpCounters, Stats};
@@ -427,8 +425,7 @@ pub struct RegionState {
     /// [`Engine::enable_profiling`](super::Engine::enable_profiling).
     pub(crate) profiler: Option<Profiler>,
     /// Installed event sink; every hook site is behind one predictable
-    /// branch (and compiled out without the `event-hooks` feature).
-    #[cfg(feature = "event-hooks")]
+    /// branch.
     pub(crate) hook: Option<Box<dyn EventHook>>,
     /// When set, logs every trace operation to stderr (small inputs
     /// only; used by the engine's own debugging sessions and tests).
@@ -471,22 +468,17 @@ impl RegionState {
             executing: false,
             stats: Stats::default(),
             profiler: None,
-            #[cfg(feature = "event-hooks")]
             hook: None,
             debug_log: false,
         }
     }
 
-    /// Delivers `ev` to the installed hook. With the `event-hooks`
-    /// feature disabled this compiles to nothing.
+    /// Delivers `ev` to the installed hook, if any.
     #[inline]
     fn emit(&mut self, ev: Event) {
-        #[cfg(feature = "event-hooks")]
         if let Some(h) = &mut self.hook {
             h.on_event(ev);
         }
-        #[cfg(not(feature = "event-hooks"))]
-        let _ = ev;
     }
 
     /// Opens a profile phase: syncs order stats and returns the

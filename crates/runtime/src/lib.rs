@@ -63,7 +63,6 @@ pub use engine::{
     Engine, EngineConfig, EngineCore, PropagationPolicy, ReadView, RegionCx, RegionState, SmlSim,
 };
 pub use error::CealError;
-#[cfg(feature = "event-hooks")]
 pub use obs::{Attribution, SiteRow, TraceRecorder};
 pub use obs::{Event, EventHook, PhaseCost, PhaseKind, Profile, SiteTally, TraceKind};
 pub use program::{NativeFn, OpaqueFn, Program, ProgramBuilder, Site, SiteKind, SiteTable, Tail};
@@ -81,7 +80,6 @@ pub mod prelude {
         Engine, EngineConfig, EngineCore, PropagationPolicy, ReadView, RegionCx, SmlSim,
     };
     pub use crate::error::CealError;
-    #[cfg(feature = "event-hooks")]
     pub use crate::obs::TraceRecorder;
     pub use crate::obs::{Event, EventHook, PhaseKind, Profile, TraceKind};
     pub use crate::program::{Program, ProgramBuilder, SiteKind, SiteTable, Tail};

@@ -22,11 +22,9 @@
 //!    ([`crate::engine::Engine::enable_profiling`]); costs one counter
 //!    snapshot (a few dozen loads) per `run_core`/`propagate` call,
 //!    nothing in the per-read hot path.
-//! 3. **Event hooks** ([`EventHook`]) — opt-in per engine, and
-//!    compiled out entirely when the `event-hooks` cargo feature is
-//!    disabled; the engine reports individual re-executions, memo
-//!    probes, trace node creation/purging and order-maintenance work
-//!    as they happen.
+//! 3. **Event hooks** ([`EventHook`]) — opt-in per engine; the engine
+//!    reports individual re-executions, memo probes, trace node
+//!    creation/purging and order-maintenance work as they happen.
 
 use crate::stats::OpCounters;
 use crate::value::SiteId;
@@ -60,7 +58,6 @@ impl TraceKind {
         }
     }
 
-    #[cfg(feature = "event-hooks")]
     fn tag(self) -> u64 {
         match self {
             TraceKind::Plain => 0,
@@ -176,8 +173,7 @@ pub enum Event {
 ///
 /// Implementations should be cheap: hooks run synchronously inside the
 /// engine's hot paths. When no hook is installed the per-event cost is
-/// one predictable branch; when the `event-hooks` cargo feature is
-/// disabled the call sites compile to nothing at all.
+/// one predictable branch.
 ///
 /// Hooks are `Send`: they live inside
 /// [`RegionState`](crate::engine::RegionState), and the leased
@@ -260,7 +256,6 @@ impl PhaseKind {
         }
     }
 
-    #[cfg(feature = "event-hooks")]
     fn tag(self) -> u64 {
         match self {
             PhaseKind::InitialRun => 0,
@@ -407,24 +402,18 @@ impl<H: EventHook> EventHook for std::sync::Arc<std::sync::Mutex<H>> {
 /// function of (program, inputs, edit script), the digest is a
 /// cross-executor oracle: two executors of the same program must
 /// produce bit-identical digests (asserted by `diffcheck`).
-///
-/// Only available with the `event-hooks` cargo feature (default-on);
-/// without it the engine has no hook surface and this type is absent.
-#[cfg(feature = "event-hooks")]
 #[derive(Clone, Debug)]
 pub struct TraceRecorder {
     events: Vec<Event>,
     digest: u64,
 }
 
-#[cfg(feature = "event-hooks")]
 impl Default for TraceRecorder {
     fn default() -> Self {
         Self::new()
     }
 }
 
-#[cfg(feature = "event-hooks")]
 fn mix(h: u64, x: u64) -> u64 {
     let h = (h ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     h ^ (h >> 29)
@@ -444,7 +433,6 @@ fn mix(h: u64, x: u64) -> u64 {
 ///
 /// This is what lets diffcheck assert digest equality across executors
 /// *and* across trace representations (DESIGN.md §13).
-#[cfg(feature = "event-hooks")]
 fn fold_event(h: u64, ev: &Event) -> u64 {
     let site = |s: SiteId| s.0 as u64;
     match *ev {
@@ -470,7 +458,6 @@ fn fold_event(h: u64, ev: &Event) -> u64 {
     }
 }
 
-#[cfg(feature = "event-hooks")]
 impl EventHook for TraceRecorder {
     fn on_event(&mut self, ev: Event) {
         self.digest = fold_event(self.digest, &ev);
@@ -478,7 +465,6 @@ impl EventHook for TraceRecorder {
     }
 }
 
-#[cfg(feature = "event-hooks")]
 impl TraceRecorder {
     /// Digest seed (nonzero so an empty stream has a recognizable
     /// digest distinct from `0`).
@@ -660,7 +646,6 @@ impl TraceRecorder {
 }
 
 /// Minimal JSON string escaping for site/function names.
-#[cfg(feature = "event-hooks")]
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -680,7 +665,6 @@ fn json_escape(s: &str) -> String {
 }
 
 /// One instant row of the Chrome trace export.
-#[cfg(feature = "event-hooks")]
 fn instant_row(
     name: &str,
     ts: usize,
@@ -699,7 +683,6 @@ fn instant_row(
 }
 
 /// Per-site event tallies in an [`Attribution`] report.
-#[cfg(feature = "event-hooks")]
 #[derive(Clone, Debug)]
 pub struct SiteRow {
     /// The site this row aggregates (possibly [`SiteId::NONE`]).
@@ -722,7 +705,6 @@ pub struct SiteRow {
     pub purged: u64,
 }
 
-#[cfg(feature = "event-hooks")]
 impl SiteRow {
     fn new(site: SiteId) -> SiteRow {
         SiteRow {
@@ -756,7 +738,6 @@ impl SiteRow {
 /// A per-site attribution report: which program points burned
 /// propagation work, with memo and steal effectiveness per site —
 /// rendered like [`Profile`] as JSON plus a human table.
-#[cfg(feature = "event-hooks")]
 #[derive(Clone, Debug)]
 pub struct Attribution {
     /// One row per site, in [`SiteId`] order (the [`SiteId::NONE`]
@@ -766,7 +747,6 @@ pub struct Attribution {
     pub digest_hex: String,
 }
 
-#[cfg(feature = "event-hooks")]
 impl Attribution {
     /// The machine-readable JSON report (integer-only, hand-written:
     /// the workspace deliberately has no JSON dependency).

@@ -35,16 +35,13 @@ struct Session {
     e: Engine,
     ins: [ModRef; 2],
     outs: [ModRef; 2],
-    #[cfg(feature = "event-hooks")]
     rec: std::sync::Arc<std::sync::Mutex<TraceRecorder>>,
 }
 
 fn start() -> Session {
     let (p, pair) = pair_program();
     let mut e = Engine::new(p);
-    #[cfg(feature = "event-hooks")]
     let rec = TraceRecorder::shared();
-    #[cfg(feature = "event-hooks")]
     e.set_event_hook(Box::new(std::sync::Arc::clone(&rec)));
     let ins = [e.meta_modref(), e.meta_modref()];
     let outs = [e.meta_modref(), e.meta_modref()];
@@ -55,19 +52,12 @@ fn start() -> Session {
         .map(|&m| Value::ModRef(m))
         .collect();
     e.run_core(pair, &args);
-    Session {
-        e,
-        ins,
-        outs,
-        #[cfg(feature = "event-hooks")]
-        rec,
-    }
+    Session { e, ins, outs, rec }
 }
 
 /// The non-phase event stream: phase boundaries depend on how many
 /// propagation passes the driver chose to run, not on what trace work
 /// happened inside them.
-#[cfg(feature = "event-hooks")]
 fn work_events(s: &Session) -> Vec<Event> {
     s.rec
         .lock()
@@ -135,13 +125,10 @@ fn two_region_leases_match_one_combined_pass() {
 
     // Same event stream modulo phase boundaries, and therefore the
     // same digest once phases are excluded.
-    #[cfg(feature = "event-hooks")]
-    {
-        let a = work_events(&combined);
-        let b = work_events(&leased);
-        assert!(!a.is_empty(), "smoke test exercised no events");
-        assert_eq!(a, b, "work events diverge between lease schedules");
-    }
+    let a = work_events(&combined);
+    let b = work_events(&leased);
+    assert!(!a.is_empty(), "smoke test exercised no events");
+    assert_eq!(a, b, "work events diverge between lease schedules");
 
     // Both engines pass the full invariant audit afterwards.
     combined.e.check_invariants();

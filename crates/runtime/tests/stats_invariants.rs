@@ -263,7 +263,6 @@ fn phase_counters_sum_to_lifetime_totals() {
 /// The event hook sees exactly the operations the lifetime counters
 /// count: the tallies of a [`CountingHook`] match the corresponding
 /// [`Stats`] deltas.
-#[cfg(feature = "event-hooks")]
 #[test]
 fn event_hook_tallies_match_stats() {
     use std::sync::{Arc, Mutex};
@@ -308,7 +307,6 @@ fn observers_do_not_perturb_execution() {
     let (prog2, map2) = build_map();
     let mut observed = Engine::new(prog2);
     observed.enable_profiling();
-    #[cfg(feature = "event-hooks")]
     observed.set_event_hook(Box::new(ceal_runtime::obs::CountingHook::default()));
     let out_observed = drive_session(&mut observed, map2, 180, 25, 55);
 
@@ -322,7 +320,6 @@ fn observers_do_not_perturb_execution() {
 /// attribution table and both DDG snapshots exported halfway through
 /// the edit script — produces byte-identical outputs, [`OpCounters`]
 /// and full [`Stats`] to an unobserved run.
-#[cfg(feature = "event-hooks")]
 #[test]
 fn trace_recorder_does_not_perturb_execution() {
     use std::sync::Arc;

@@ -1,41 +1,36 @@
 //! The deterministic load generator behind the `service-bench` binary
 //! and the `service-smoke` CI gate (`BENCH_service.json`).
 //!
-//! Two passes over the same kind of splitmix64-seeded open-loop
-//! schedule:
+//! One pass, **lockstep**, over a splitmix64-seeded open-loop schedule:
+//! a single-threaded simulation of the shard scheduler. Per tick,
+//! arrivals enter bounded per-shard queues (overflow sheds), then each
+//! shard drains a fixed number of requests via the *same*
+//! [`Shard::handle`] the threaded service runs. Every service-tier
+//! counter — admitted, shed, evicted, restored, snapshot bytes, replayed
+//! ops, aggregated engine deltas — is a pure function of the schedule,
+//! so the flattened counters are diffed against
+//! `crates/service/baselines/service_golden.json` exactly like the
+//! runtime counter gate (wall clock excluded, same rationale: shared
+//! runners can perturb time, not arithmetic). The gate spec is fixed
+//! (512 sessions, 4 shards) and deliberately tight enough to force shed
+//! *and* eviction/restore cycles every run.
 //!
-//! 1. **Lockstep (gated).** A single-threaded simulation of the shard
-//!    scheduler: per tick, arrivals enter bounded per-shard queues
-//!    (overflow sheds), then each shard drains a fixed number of
-//!    requests via the *same* [`Shard::handle`] the threaded service
-//!    runs. Every service-tier counter — admitted, shed, evicted,
-//!    restored, snapshot bytes, replayed ops, aggregated engine deltas —
-//!    is a pure function of the schedule, so the flattened counters are
-//!    diffed against `crates/service/baselines/service_golden.json`
-//!    exactly like the runtime counter gate (wall clock excluded, same
-//!    rationale: shared runners can perturb time, not arithmetic).
-//!    The gate spec is fixed (512 sessions, 4 shards) regardless of
-//!    `--quick`, and deliberately tight enough to force shed *and*
-//!    eviction/restore cycles every run.
-//!
-//! 2. **Timed (reported, not gated).** The real threaded [`Service`]
-//!    under a paced open-loop arrival schedule: latency for each
-//!    edit/observe is measured from its *scheduled* arrival time, so
-//!    queueing delay counts (the honest tail). Reports p50/p99/p999
-//!    edit-to-result latency, throughput, and sessions/core at a fixed
-//!    SLO (highest rung of a load ladder whose p99 meets the SLO).
+//! The one wall-clock figure here is [`overhead_probe`], which prices
+//! the telemetry instrumentation on the lockstep schedule. Service
+//! latency and throughput under real TCP traffic are measured by the
+//! `ceal-benchmark` workloads `service-steady` and `service-evict`.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ceal_bench::prng::Prng;
 use ceal_runtime::telemetry::MetricsSnapshot;
 use ceal_runtime::Value;
 
 use crate::metrics::{merge_shards, ShardTelemetry, TelemetryConfig, REQ_KINDS};
-use crate::service::{route_key, Service, ServiceConfig};
+use crate::service::route_key;
 use crate::shard::{Shard, ShardConfig};
 use crate::wire::{EditOp, PolicyArg, Reply, Request, ServiceCounters, Workload};
 
@@ -364,229 +359,11 @@ pub fn flatten_counters(c: &ServiceCounters) -> Vec<(String, u64)> {
         .collect()
 }
 
-/// Timed-pass report for one load rung.
-#[derive(Clone, Copy, Debug)]
-pub struct TimedResult {
-    /// Sessions driven.
-    pub sessions: usize,
-    /// Shards serving them.
-    pub shards: usize,
-    /// Edit/observe requests measured.
-    pub measured: u64,
-    /// Requests shed by admission.
-    pub shed: u64,
-    /// Latency percentiles over edit/observe, microseconds, sourced
-    /// from the service's own `ceal_request_us` histograms (queue wait
-    /// plus handling, measured from admission): the number production
-    /// dashboards would show. Reported as the histogram bucket's upper
-    /// bound (≤12.5% relative width).
-    pub p50_us: f64,
-    /// 99th percentile (histogram-sourced).
-    pub p99_us: f64,
-    /// 99.9th percentile (histogram-sourced).
-    pub p999_us: f64,
-    /// Scheduled-arrival percentiles (external stopwatch, open-loop
-    /// coordinated-omission-free): the honest tail the SLO is judged
-    /// against, since it includes client-side backlog the in-system
-    /// histograms cannot see.
-    pub sched_p50_us: f64,
-    /// 99th percentile from scheduled arrival.
-    pub sched_p99_us: f64,
-    /// 99.9th percentile from scheduled arrival.
-    pub sched_p999_us: f64,
-    /// Whether the in-system histogram agreed with an external
-    /// per-call stopwatch: equal counts, and external p50/p99 inside
-    /// the histogram's quantile bucket (plus one bucket of slack for
-    /// reply-delivery overhead the histogram excludes).
-    pub crosscheck_ok: bool,
-    /// Completed requests per second of wall time.
-    pub throughput_rps: f64,
-    /// Wall-clock duration of the rung.
-    pub wall_s: f64,
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Drives the threaded [`Service`] with the schedule at `tick` pacing
-/// and measures edit-to-result latency.
-///
-/// Sessions are pinned to client threads (per-key order must be
-/// preserved); the pool is sized so clients, shards and the scheduler
-/// oversubscribe a small CI runner only mildly.
-pub fn run_timed(spec: &LoadSpec, tick: Duration, clients: usize) -> TimedResult {
-    let schedule = build_schedule(spec);
-    let svc = Service::start(ServiceConfig {
-        shards: spec.shards,
-        queue_cap: spec.queue_cap,
-        mem_budget_bytes: spec.mem_budget_bytes,
-        max_sessions: usize::MAX,
-        // Production defaults, minus the stderr log line (a bench run
-        // measuring a deliberately overloaded rung would spam it).
-        telemetry: TelemetryConfig {
-            slow_log: false,
-            ..TelemetryConfig::default()
-        },
-    });
-
-    // Split the schedule per client, preserving tick order: session i
-    // belongs to client i % clients. Opens are the *warmup* phase —
-    // building an engine is from-scratch-run territory, not the steady
-    // state the latency figures describe — so they run unpaced and
-    // unmeasured; the paced open-loop clock starts at the first
-    // steady-state tick.
-    let clients = clients.max(1);
-    let mut warmup: Vec<Vec<Request>> = vec![Vec::new(); clients];
-    let mut per_client: Vec<Vec<(u64, Request)>> = vec![Vec::new(); clients];
-    let mut first_steady: Option<usize> = None;
-    for (t, reqs) in schedule.iter().enumerate() {
-        for req in reqs {
-            let Some(id) = req.sid() else { continue };
-            let i: usize = id[1..].parse().unwrap_or(0);
-            if matches!(req, Request::Open { .. }) {
-                warmup[i % clients].push(req.clone());
-            } else {
-                let t0 = *first_steady.get_or_insert(t);
-                per_client[i % clients].push(((t - t0) as u64, req.clone()));
-            }
-        }
-    }
-
-    // Warmup: open every session, in parallel across clients.
-    let mut warm_joins = Vec::new();
-    for work in warmup {
-        let svc = svc.clone();
-        warm_joins.push(std::thread::spawn(move || {
-            for req in work {
-                let reply = svc.call(req);
-                assert!(reply.is_ok(), "warmup open failed: {reply}");
-            }
-        }));
-    }
-    for j in warm_joins {
-        j.join().expect("warmup thread");
-    }
-
-    let start = Instant::now() + Duration::from_millis(20);
-    let mut joins = Vec::new();
-    for work in per_client {
-        let svc = svc.clone();
-        joins.push(std::thread::spawn(move || {
-            // Spread each client's per-tick requests uniformly across
-            // the tick (open-loop arrivals, not a burst at tick start).
-            let mut per_tick: std::collections::HashMap<u64, u32> =
-                std::collections::HashMap::new();
-            for (t, _) in &work {
-                *per_tick.entry(*t).or_default() += 1;
-            }
-            let mut seen: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
-            let mut lat_us: Vec<f64> = Vec::with_capacity(work.len());
-            let mut call_us: Vec<u64> = Vec::with_capacity(work.len());
-            let mut shed = 0u64;
-            for (t, req) in work {
-                let j = seen.entry(t).or_default();
-                let frac = f64::from(*j) / f64::from(per_tick[&t]);
-                *j += 1;
-                let scheduled = start + tick * (t as u32) + tick.mul_f64(frac);
-                let now = Instant::now();
-                if scheduled > now {
-                    std::thread::sleep(scheduled - now);
-                }
-                // Two stopwatches per request: from scheduled arrival
-                // (the honest open-loop tail) and from the call itself
-                // (the external check on the in-system histograms).
-                let called = Instant::now();
-                let reply = svc.call(req);
-                match reply {
-                    Reply::Err(crate::wire::ErrKind::Shed, _) => shed += 1,
-                    r if r.is_ok() => {
-                        lat_us.push(scheduled.elapsed().as_secs_f64() * 1e6);
-                        call_us.push(called.elapsed().as_micros() as u64);
-                    }
-                    _ => {}
-                }
-            }
-            (lat_us, call_us, shed)
-        }));
-    }
-
-    let mut lat: Vec<f64> = Vec::new();
-    let mut calls: Vec<u64> = Vec::new();
-    let mut shed = 0u64;
-    for j in joins {
-        let (l, c, s) = j.join().expect("client thread");
-        lat.extend(l);
-        calls.extend(c);
-        shed += s;
-    }
-    let wall_s = start.elapsed().as_secs_f64();
-    // The dashboards' view: queue wait + handling, recorded by the
-    // shards themselves into `ceal_request_us{kind=edit|observe}`.
-    let hist = svc
-        .metrics_snapshot()
-        .merged_histogram("ceal_request_us", |labels| {
-            labels
-                .iter()
-                .any(|(k, v)| k == "kind" && (v == "edit" || v == "observe"))
-        });
-    svc.shutdown();
-
-    lat.sort_by(|a, b| a.total_cmp(b));
-    calls.sort_unstable();
-    // Cross-check: the histogram must describe the same population the
-    // external stopwatch saw. Counts must match exactly; the external
-    // p50/p99 must land inside the histogram's quantile bucket, with
-    // one bucket width (12.5%) plus a small absolute pad of slack for
-    // the reply-channel hop the in-system clock stops before.
-    let crosscheck_ok = hist.count == calls.len() as u64
-        && [(1u64, 2u64), (99, 100)].iter().all(|&(num, den)| {
-            let n = calls.len() as u64;
-            if n == 0 {
-                return true;
-            }
-            let rank = (n * num).div_ceil(den).clamp(1, n);
-            let ext = calls[rank as usize - 1];
-            match hist.quantile_bounds(num, den) {
-                Some((lo, hi)) => ext >= lo && ext <= hi + hi / 8 + 500,
-                None => false,
-            }
-        });
-    TimedResult {
-        sessions: spec.sessions,
-        shards: spec.shards,
-        measured: lat.len() as u64,
-        shed,
-        p50_us: hist.p50() as f64,
-        p99_us: hist.p99() as f64,
-        p999_us: hist.p999() as f64,
-        sched_p50_us: percentile(&lat, 50.0),
-        sched_p99_us: percentile(&lat, 99.0),
-        sched_p999_us: percentile(&lat, 99.9),
-        crosscheck_ok,
-        throughput_rps: lat.len() as f64 / wall_s.max(1e-9),
-        wall_s,
-    }
-}
-
-/// The fixed SLO used for the sessions/core figure, in milliseconds.
-pub const SLO_MS: f64 = 5.0;
-
-/// Renders `BENCH_service.json`: the gated deterministic section plus
-/// the timed rungs.
-pub fn render_json(
-    lockstep: &LockstepResult,
-    rungs: &[TimedResult],
-    quick: bool,
-    sessions_per_core_at_slo: f64,
-) -> String {
+/// Renders `BENCH_service.json`: the gate spec and the deterministic
+/// lockstep counters, nothing wall-clock.
+pub fn render_json(lockstep: &LockstepResult) -> String {
     let mut s = String::new();
-    s.push_str("{\n  \"schema\": \"ceal-service-bench/v2\",\n");
-    let _ = writeln!(s, "  \"quick\": {quick},");
+    s.push_str("{\n  \"schema\": \"ceal-service-bench/v3\",\n");
     let _ = writeln!(
         s,
         "  \"gate_spec\": {{ \"sessions\": {}, \"shards\": {}, \"n\": {}, \"rounds\": {}, \"seed\": {} }},",
@@ -603,48 +380,7 @@ pub fn render_json(
         let comma = if i + 1 < flat.len() { "," } else { "" };
         let _ = writeln!(s, "    \"{k}\": {v}{comma}");
     }
-    s.push_str("  } },\n");
-    let _ = writeln!(s, "  \"slo_ms\": {SLO_MS},");
-    let _ = writeln!(
-        s,
-        "  \"sessions_per_core_at_slo\": {sessions_per_core_at_slo:.1},"
-    );
-    // The summary percentiles mirror the highest rung that met the SLO
-    // (or the lightest rung if none did) so dashboards have stable
-    // keys. Since v2, `p50/p99/p999_us` come from the service's own
-    // request histograms (cross-checked against an external stopwatch);
-    // `sched_*` keep the scheduled-arrival percentiles the SLO is
-    // judged against.
-    let summary = rungs
-        .iter()
-        .rev()
-        .find(|r| r.sched_p99_us <= SLO_MS * 1e3)
-        .or(rungs.first())
-        .expect("at least one timed rung");
-    let _ = writeln!(s, "  \"p50_us\": {:.1},", summary.p50_us);
-    let _ = writeln!(s, "  \"p99_us\": {:.1},", summary.p99_us);
-    let _ = writeln!(s, "  \"p999_us\": {:.1},", summary.p999_us);
-    let _ = writeln!(s, "  \"sched_p50_us\": {:.1},", summary.sched_p50_us);
-    let _ = writeln!(s, "  \"sched_p99_us\": {:.1},", summary.sched_p99_us);
-    let _ = writeln!(s, "  \"sched_p999_us\": {:.1},", summary.sched_p999_us);
-    let _ = writeln!(s, "  \"crosscheck_ok\": {},", summary.crosscheck_ok);
-    let _ = writeln!(
-        s,
-        "  \"sessions_per_core\": {:.1},",
-        summary.sessions as f64 / summary.shards as f64
-    );
-    s.push_str("  \"timed_rungs\": [\n");
-    for (i, r) in rungs.iter().enumerate() {
-        let comma = if i + 1 < rungs.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{ \"sessions\": {}, \"shards\": {}, \"measured\": {}, \"shed\": {}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"p999_us\": {:.1}, \"sched_p50_us\": {:.1}, \"sched_p99_us\": {:.1}, \"sched_p999_us\": {:.1}, \"crosscheck_ok\": {}, \"throughput_rps\": {:.1}, \"wall_s\": {:.3}, \"slo_met\": {} }}{comma}",
-            r.sessions, r.shards, r.measured, r.shed, r.p50_us, r.p99_us, r.p999_us,
-            r.sched_p50_us, r.sched_p99_us, r.sched_p999_us, r.crosscheck_ok,
-            r.throughput_rps, r.wall_s, r.sched_p99_us <= SLO_MS * 1e3
-        );
-    }
-    s.push_str("  ]\n}\n");
+    s.push_str("  } }\n}\n");
     s
 }
 
@@ -753,38 +489,6 @@ mod tests {
         assert!(
             off.telemetry.iter().all(|(_, v)| *v == 0),
             "disabled telemetry must record nothing"
-        );
-    }
-
-    #[test]
-    fn percentiles_are_order_statistics() {
-        let v: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&v, 50.0), 51.0);
-        assert_eq!(percentile(&v, 99.0), 99.0);
-        assert_eq!(percentile(&v, 100.0), 100.0);
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&[], 99.0), 0.0);
-    }
-
-    #[test]
-    fn timed_pass_smoke() {
-        // Tiny rung: this checks the machinery (pinning, pacing,
-        // percentile plumbing), not performance.
-        let spec = LoadSpec {
-            sessions: 16,
-            rounds: 2,
-            storm_round: usize::MAX,
-            ..GATE_SPEC
-        };
-        let r = run_timed(&spec, Duration::from_micros(100), 4);
-        assert!(r.measured > 0);
-        assert!(r.sched_p50_us > 0.0);
-        assert!(r.sched_p999_us >= r.sched_p99_us && r.sched_p99_us >= r.sched_p50_us);
-        assert!(r.p999_us >= r.p99_us && r.p99_us >= r.p50_us);
-        assert!(
-            r.crosscheck_ok,
-            "in-system histogram disagrees with external stopwatch: hist p50={} p99={}",
-            r.p50_us, r.p99_us
         );
     }
 }

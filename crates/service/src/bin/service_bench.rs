@@ -1,16 +1,12 @@
 //! `service-bench` — the service load generator and its counter gate.
 //!
 //! ```text
-//! service-bench [--quick] [--gate] [--out BENCH_service.json] [--golden PATH]
+//! service-bench [--gate] [--overhead-gate] [--out BENCH_service.json]
 //! ```
 //!
-//! Always runs the fixed deterministic lockstep pass (the gated
-//! counters are independent of `--quick`), then one or more timed rungs
-//! against the threaded service:
+//! Always runs the fixed deterministic lockstep pass and prints its
+//! counters as `BENCH_service.json` (to stdout, or to `--out`):
 //!
-//! * `--quick`  — one small timed rung (CI smoke; seconds).
-//! * default    — a load ladder (1×, 2×, 4× sessions) to place
-//!   `sessions_per_core_at_slo`.
 //! * `--gate`   — additionally diff the lockstep counters against
 //!   `crates/service/baselines/service_golden.json`; bless deliberate
 //!   changes with `UPDATE_GOLDEN=1`.
@@ -19,22 +15,24 @@
 //!   and fail if the instrumented hot path costs more than 5% (plus a
 //!   small absolute floor for timer noise on tiny runs).
 //! * `--out`    — write `BENCH_service.json`.
+//!
+//! Service latency and throughput are not measured here: the
+//! `service-steady` and `service-evict` workloads of `ceal-benchmark`
+//! time real TCP traffic against `cealc --serve`.
 
 use std::process::ExitCode;
-use std::time::Duration;
 
 use ceal_bench::profile::{diff_counters, parse_golden};
 use ceal_bench::Opts;
 use ceal_service::bench::{
     flatten_counters, golden_path, overhead_probe, render_golden, render_json, run_lockstep,
-    run_timed, LoadSpec, TimedResult, GATE_SPEC, SLO_MS,
+    GATE_SPEC,
 };
 
 fn main() -> ExitCode {
     let (sub, opts) = Opts::from_env();
     // No subcommands: tolerate the binary name's args starting at the
     // first `--flag` (Opts treats the first arg as a subcommand slot).
-    let quick = opts.has("quick") || sub.as_deref() == Some("--quick");
     let gate = opts.has("gate") || sub.as_deref() == Some("--gate");
     let overhead_gate = opts.has("overhead-gate") || sub.as_deref() == Some("--overhead-gate");
 
@@ -106,48 +104,7 @@ fn main() -> ExitCode {
         }
     }
 
-    // Timed rungs. Tick pacing and the client pool are wall-clock
-    // domain: reported, never gated.
-    let tick = Duration::from_micros(opts.get_usize("tick-us", 20_000) as u64);
-    let clients = opts.get_usize("clients", 8);
-    let mut rungs: Vec<TimedResult> = Vec::new();
-    let scales: &[usize] = if quick { &[1] } else { &[1, 2, 4] };
-    for &scale in scales {
-        let spec = LoadSpec {
-            sessions: GATE_SPEC.sessions * scale,
-            // Generous budget and queue, and no storm burst: the rungs
-            // measure steady-state scheduling latency, not eviction
-            // thrash or shed behaviour (the gate pass covers those);
-            // either would distort the percentiles.
-            mem_budget_bytes: 512 << 20,
-            queue_cap: 1024,
-            storm_round: usize::MAX,
-            ..GATE_SPEC
-        };
-        eprintln!("service-bench: timed rung — {} sessions", spec.sessions);
-        let r = run_timed(&spec, tick, clients);
-        eprintln!(
-            "  measured={} shed={} hist p50={:.0}us p99={:.0}us p999={:.0}us (sched p99={:.0}us, crosscheck={}) {:.0} req/s",
-            r.measured, r.shed, r.p50_us, r.p99_us, r.p999_us, r.sched_p99_us, r.crosscheck_ok,
-            r.throughput_rps
-        );
-        if !r.crosscheck_ok {
-            eprintln!("service-bench: histogram percentiles disagree with external stopwatch");
-            return ExitCode::FAILURE;
-        }
-        rungs.push(r);
-        if r.sched_p99_us > SLO_MS * 1e3 {
-            break; // the ladder found the knee; higher rungs add nothing
-        }
-    }
-    let best = rungs
-        .iter()
-        .rev()
-        .find(|r| r.sched_p99_us <= SLO_MS * 1e3)
-        .map_or(0.0, |r| r.sessions as f64 / r.shards as f64);
-    eprintln!("service-bench: sessions/core at p99<={SLO_MS}ms SLO: {best:.1}");
-
-    let json = render_json(&lockstep, &rungs, quick, best);
+    let json = render_json(&lockstep);
     if let Some(out) = opts.get("out") {
         if let Err(e) = std::fs::write(out, &json) {
             eprintln!("service-bench: cannot write {out}: {e}");

@@ -107,7 +107,6 @@ pub struct Session {
     /// Per-site work tally for slow-request attribution, installed by
     /// [`Session::enable_tracing`] (shared with the engine's event-hook
     /// slot through the forwarding `Arc<Mutex<_>>` impl).
-    #[cfg(feature = "event-hooks")]
     tally: Option<Arc<std::sync::Mutex<ceal_runtime::SiteTally>>>,
 }
 
@@ -133,15 +132,13 @@ impl Session {
             out,
             history: Vec::new(),
             last_used: 0,
-            #[cfg(feature = "event-hooks")]
             tally: None,
         }
     }
 
     /// Turns on per-request tracing for this session: engine phase
     /// profiling (drained per request with [`Session::drain_phases`])
-    /// and, when the `event-hooks` feature is on, a
-    /// [`ceal_runtime::SiteTally`] hook for top-k site attribution.
+    /// and a [`ceal_runtime::SiteTally`] hook for top-k site attribution.
     ///
     /// Called by the shard right after open/restore when the telemetry
     /// config asks for site attribution (`top_sites > 0`); note the
@@ -153,12 +150,9 @@ impl Session {
         // today — enable_tracing runs before the first traced request —
         // but drain defensively so the first request's report is clean).
         let _ = self.engine.drain_phases();
-        #[cfg(feature = "event-hooks")]
-        {
-            let tally = Arc::new(std::sync::Mutex::new(ceal_runtime::SiteTally::new()));
-            self.engine.set_event_hook(Box::new(Arc::clone(&tally)));
-            self.tally = Some(tally);
-        }
+        let tally = Arc::new(std::sync::Mutex::new(ceal_runtime::SiteTally::new()));
+        self.engine.set_event_hook(Box::new(Arc::clone(&tally)));
+        self.tally = Some(tally);
     }
 
     /// Drains the engine phases recorded since the last drain,
@@ -170,18 +164,15 @@ impl Session {
     }
 
     /// Drains the top-`k` sites by attributed work since the last
-    /// drain. Empty without tracing (or without the `event-hooks`
-    /// feature).
+    /// drain. Empty without tracing.
     pub fn drain_top_sites(&mut self, k: usize) -> Vec<(String, u64)> {
-        #[cfg(feature = "event-hooks")]
-        {
-            if let Some(tally) = &self.tally {
+        match &self.tally {
+            Some(tally) => {
                 let mut t = tally.lock().expect("site tally poisoned");
-                return t.drain(self.engine.sites(), k);
+                t.drain(self.engine.sites(), k)
             }
+            None => Vec::new(),
         }
-        let _ = k;
-        Vec::new()
     }
 
     /// The spec this session was opened with.
@@ -281,7 +272,6 @@ impl Session {
 
     /// Installs an event hook on the underlying engine (tests use this
     /// to attach a `TraceRecorder` for the digest oracle).
-    #[cfg(feature = "event-hooks")]
     pub fn set_event_hook(&mut self, hook: Box<dyn EventHook>) {
         self.engine.set_event_hook(hook);
     }

@@ -570,14 +570,11 @@ mod tests {
         assert_eq!(edit.sid, "a");
         assert_eq!(edit.total_us, edit.queue_us + edit.handle_us);
         assert!(!edit.restored);
-        #[cfg(feature = "event-hooks")]
-        {
-            assert!(!edit.phases.is_empty(), "traced edit must report phases");
-            assert!(
-                !edit.top_sites.is_empty(),
-                "traced edit must attribute work to sites"
-            );
-        }
+        assert!(!edit.phases.is_empty(), "traced edit must report phases");
+        assert!(
+            !edit.top_sites.is_empty(),
+            "traced edit must attribute work to sites"
+        );
         let line = edit.render_line();
         assert!(line.starts_with("slow-request id=8"), "{line}");
 
