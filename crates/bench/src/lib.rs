@@ -16,7 +16,6 @@
 //!   Its micro-benchmarks self-time through [`timer`] (no external
 //!   harness).
 
-pub mod prng;
 pub mod profile;
 pub mod runtime_bench;
 pub mod timer;

@@ -457,11 +457,13 @@ pub fn golden_path() -> PathBuf {
     ))
 }
 
-/// Renders flattened counters as the golden file: valid JSON, one
-/// counter per line, so drift reviews are plain line diffs.
-pub fn render_golden(flat: &[(String, u64)]) -> String {
+/// Renders flattened counters as a golden file with the given schema
+/// string: valid JSON, one counter per line, so drift reviews are
+/// plain line diffs. The runtime profile golden and the service golden
+/// share this shape and [`parse_golden`].
+pub fn render_golden(schema: &str, flat: &[(String, u64)]) -> String {
     let mut s = String::new();
-    s.push_str("{\n  \"schema\": \"ceal-profile-golden/v1\",\n  \"counters\": {\n");
+    let _ = write!(s, "{{\n  \"schema\": \"{schema}\",\n  \"counters\": {{\n");
     for (i, (k, v)) in flat.iter().enumerate() {
         let _ = write!(s, "    \"{k}\": {v}");
         s.push_str(if i + 1 < flat.len() { ",\n" } else { "\n" });
@@ -610,7 +612,8 @@ pub fn run_gate(opts: &Opts) -> i32 {
         .unwrap_or_else(golden_path);
 
     if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
-        std::fs::write(&path, render_golden(&current)).expect("write golden profile");
+        std::fs::write(&path, render_golden("ceal-profile-golden/v1", &current))
+            .expect("write golden profile");
         println!(
             "counter gate: blessed {} counters into {}",
             current.len(),
@@ -668,7 +671,7 @@ mod tests {
             ("a/propagate/memo_hits".to_string(), 3),
             ("b/final/trace_len".to_string(), 0),
         ];
-        let text = render_golden(&flat);
+        let text = render_golden("ceal-profile-golden/v1", &flat);
         assert!(text.starts_with('{') && text.ends_with("}\n"));
         let parsed = parse_golden(&text).unwrap();
         assert_eq!(parsed, flat);

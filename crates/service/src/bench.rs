@@ -3,7 +3,7 @@
 //!
 //! One pass, **lockstep**, over a splitmix64-seeded open-loop schedule:
 //! a single-threaded simulation of the shard scheduler. Per tick,
-//! arrivals enter bounded per-shard queues (overflow sheds), then each
+//! arrivals enter bounded per-shard queues (overflow is shed), then each
 //! shard drains a fixed number of requests via the *same*
 //! [`Shard::handle`] the threaded service runs. Every service-tier
 //! counter — admitted, shed, evicted, restored, snapshot bytes, replayed
@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ceal_bench::prng::Prng;
+use ceal_runtime::prng::Prng;
 use ceal_runtime::telemetry::MetricsSnapshot;
 use ceal_runtime::Value;
 
@@ -168,16 +168,25 @@ pub fn build_schedule(spec: &LoadSpec) -> Vec<Vec<Request>> {
 /// the run.
 #[derive(Clone, Debug)]
 pub struct LockstepResult {
-    /// Aggregated deterministic service counters.
+    /// Aggregated deterministic service counters: the sum of every
+    /// shard registry's read-out.
     pub counters: ServiceCounters,
     /// Ticks simulated (ramp + steady + final drain).
     pub ticks: u64,
     /// Requests generated by the schedule.
     pub generated: u64,
-    /// Deterministic telemetry counter rows (`telemetry/<name>`), gated
-    /// alongside the service counters: the metrics registry must count
-    /// the same world the service counters do, on every platform.
-    pub telemetry: Vec<(String, u64)>,
+    /// The shards' registries merged at the end of the run.
+    pub snapshot: MetricsSnapshot,
+}
+
+impl LockstepResult {
+    /// The gated rows: `service/<name>` for every counter, then the
+    /// registry's other deterministic counts ([`telemetry_rows`]).
+    pub fn rows(&self) -> Vec<(String, u64)> {
+        let mut flat = flatten_counters(&self.counters);
+        flat.extend(telemetry_rows(&self.snapshot));
+        flat
+    }
 }
 
 /// The telemetry config the gated lockstep pass runs under: everything
@@ -188,12 +197,12 @@ pub const GATE_TELEMETRY: TelemetryConfig = TelemetryConfig {
     enabled: true,
     slow_threshold_us: 0,
     slow_log: false,
-    top_sites: 3,
 };
 
-/// Extracts the gateable (count-only, deterministic) telemetry rows
-/// from a merged snapshot. Wall-clock series (histogram sums of
-/// microseconds) are deliberately absent — time is never gated.
+/// Extracts the gateable telemetry rows from a merged snapshot: the
+/// deterministic counts that are not already a `service/<name>` row.
+/// Wall-clock series (histogram sums of microseconds) are deliberately
+/// absent — time is never gated.
 pub fn telemetry_rows(snap: &MetricsSnapshot) -> Vec<(String, u64)> {
     let mut rows = Vec::new();
     for kind in REQ_KINDS {
@@ -203,12 +212,8 @@ pub fn telemetry_rows(snap: &MetricsSnapshot) -> Vec<(String, u64)> {
         ));
     }
     for (row, metric) in [
-        ("shed", "ceal_shed_total"),
         ("errors", "ceal_errors_total"),
         ("slow_requests", "ceal_slow_requests_total"),
-        ("evicted", "ceal_sessions_evicted_total"),
-        ("restored", "ceal_sessions_restored_total"),
-        ("replayed_ops", "ceal_replayed_ops_total"),
     ] {
         rows.push((format!("telemetry/{row}"), snap.counter_total(metric)));
     }
@@ -249,7 +254,6 @@ pub fn run_lockstep_cfg(spec: &LoadSpec, telemetry: TelemetryConfig) -> Lockstep
     // Sessions whose open was shed: their later requests legitimately
     // answer unknown-session, everything else must be ok.
     let mut lost_opens = std::collections::HashSet::new();
-    let mut shed = 0u64;
     let mut ticks = 0u64;
 
     let drain = |shards: &mut Vec<Shard>,
@@ -280,13 +284,10 @@ pub fn run_lockstep_cfg(spec: &LoadSpec, telemetry: TelemetryConfig) -> Lockstep
         for req in tick {
             let target = route_key(req.sid().expect("schedule requests are keyed"), spec.shards);
             if queues[target].len() >= spec.queue_cap {
-                shed += 1;
-                // Lockstep sheds happen driver-side (the queue is
-                // simulated); mirror them into the target shard's
-                // telemetry exactly as `Service::try_call` does.
-                if tels[target].on() {
-                    tels[target].shed.inc();
-                }
+                // Lockstep admission happens driver-side (the queue is
+                // simulated); count the shed in the target shard's
+                // registry exactly as `Service::try_call` does.
+                tels[target].shed.inc();
                 if let Request::Open { sid, .. } = req {
                     lost_opens.insert(sid.clone());
                 }
@@ -308,16 +309,14 @@ pub fn run_lockstep_cfg(spec: &LoadSpec, telemetry: TelemetryConfig) -> Lockstep
     }
 
     let mut counters = ServiceCounters::default();
-    for s in &shards {
-        counters.add(s.counters());
+    for t in &tels {
+        counters.add(&t.counters());
     }
-    counters.shed = shed;
-    let telemetry = telemetry_rows(&merge_shards(&tels));
     LockstepResult {
         counters,
         ticks,
         generated,
-        telemetry,
+        snapshot: merge_shards(&tels),
     }
 }
 
@@ -374,26 +373,12 @@ pub fn render_json(lockstep: &LockstepResult) -> String {
         "  \"lockstep\": {{ \"ticks\": {}, \"generated\": {}, \"counters\": {{",
         lockstep.ticks, lockstep.generated
     );
-    let mut flat = flatten_counters(&lockstep.counters);
-    flat.extend(lockstep.telemetry.iter().cloned());
+    let flat = lockstep.rows();
     for (i, (k, v)) in flat.iter().enumerate() {
         let comma = if i + 1 < flat.len() { "," } else { "" };
         let _ = writeln!(s, "    \"{k}\": {v}{comma}");
     }
     s.push_str("  } }\n}\n");
-    s
-}
-
-/// Renders the service golden file (same line-diff-friendly shape as
-/// the runtime profile golden, service schema string).
-pub fn render_golden(flat: &[(String, u64)]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n  \"schema\": \"ceal-service-golden/v1\",\n  \"counters\": {\n");
-    for (i, (k, v)) in flat.iter().enumerate() {
-        let _ = write!(s, "    \"{k}\": {v}");
-        s.push_str(if i + 1 < flat.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  }\n}\n");
     s
 }
 
@@ -446,29 +431,23 @@ mod tests {
         assert!(c.snapshot_bytes > 0);
         assert!(c.replayed_ops > 0);
         assert_eq!(c.admitted + c.shed, r1.generated);
-        assert_eq!(
-            r1.telemetry, r2.telemetry,
-            "telemetry rows must be deterministic"
-        );
+        assert_eq!(r1.rows(), r2.rows(), "gated rows must be deterministic");
     }
 
     #[test]
     fn lockstep_telemetry_agrees_with_service_counters() {
         let r = run_lockstep(&GATE_SPEC);
-        let rows: std::collections::HashMap<&str, u64> =
-            r.telemetry.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        let rows: std::collections::HashMap<String, u64> =
+            telemetry_rows(&r.snapshot).into_iter().collect();
         let c = &r.counters;
+        // Every open in the schedule succeeds unless shed.
         assert_eq!(rows["telemetry/requests_open"], c.opened);
-        assert_eq!(rows["telemetry/shed"], c.shed);
-        assert_eq!(rows["telemetry/evicted"], c.evicted);
-        assert_eq!(rows["telemetry/restored"], c.restored);
-        assert_eq!(rows["telemetry/replayed_ops"], c.replayed_ops);
         // Every handled request is routed in lockstep (no stats probes),
         // and the gate threshold is zero, so the slow counter covers all
         // of them.
         let handled: u64 = ["open", "edit", "observe", "close", "ping"]
             .iter()
-            .map(|k| rows[format!("telemetry/requests_{k}").as_str()])
+            .map(|k| rows[&format!("telemetry/requests_{k}")])
             .sum();
         assert_eq!(handled, c.admitted);
         assert_eq!(rows["telemetry/slow_requests"], handled);
@@ -476,8 +455,9 @@ mod tests {
 
     #[test]
     fn telemetry_off_matches_on_counters() {
-        // The overhead probe's correctness half, on a small spec: the
-        // deterministic counters are identical with telemetry on or off.
+        // The overhead probe's correctness half, on a small spec: counts
+        // are kept whatever the switch says; only the timed half (slow
+        // records, histograms) goes quiet when telemetry is off.
         let spec = LoadSpec {
             sessions: 64,
             rounds: 3,
@@ -486,9 +466,18 @@ mod tests {
         let on = run_lockstep_cfg(&spec, GATE_TELEMETRY);
         let off = run_lockstep_cfg(&spec, TelemetryConfig::disabled());
         assert_eq!(on.counters, off.counters);
-        assert!(
-            off.telemetry.iter().all(|(_, v)| *v == 0),
-            "disabled telemetry must record nothing"
-        );
+        for ((name, on_v), (off_name, off_v)) in on.rows().iter().zip(off.rows()) {
+            assert_eq!(*name, off_name);
+            if name == "telemetry/slow_requests" {
+                assert!(*on_v > 0, "the gate threshold marks every request slow");
+                assert_eq!(off_v, 0, "disabled telemetry records no slow requests");
+            } else {
+                assert_eq!(*on_v, off_v, "{name}");
+            }
+        }
+        for hist in ["ceal_request_us", "ceal_handle_us", "ceal_engine_us"] {
+            assert!(on.snapshot.counter_total(hist) > 0, "{hist}");
+            assert_eq!(off.snapshot.counter_total(hist), 0, "{hist}");
+        }
     }
 }

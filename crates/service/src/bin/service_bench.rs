@@ -22,12 +22,9 @@
 
 use std::process::ExitCode;
 
-use ceal_bench::profile::{diff_counters, parse_golden};
+use ceal_bench::profile::{diff_counters, parse_golden, render_golden};
 use ceal_bench::Opts;
-use ceal_service::bench::{
-    flatten_counters, golden_path, overhead_probe, render_golden, render_json, run_lockstep,
-    GATE_SPEC,
-};
+use ceal_service::bench::{golden_path, overhead_probe, render_json, run_lockstep, GATE_SPEC};
 
 fn main() -> ExitCode {
     let (sub, opts) = Opts::from_env();
@@ -67,11 +64,10 @@ fn main() -> ExitCode {
     }
 
     if gate {
-        let mut flat = flatten_counters(c);
-        flat.extend(lockstep.telemetry.iter().cloned());
+        let flat = lockstep.rows();
         let path = golden_path();
         if std::env::var_os("UPDATE_GOLDEN").is_some() {
-            let rendered = render_golden(&flat);
+            let rendered = render_golden("ceal-service-golden/v1", &flat);
             if let Err(e) = std::fs::write(&path, rendered) {
                 eprintln!("service-bench: cannot write {}: {e}", path.display());
                 return ExitCode::FAILURE;

@@ -17,7 +17,7 @@
 //! Rather than wrap it in a lock, the service partitions session keys
 //! across **shards** (stable hash), and each shard's worker thread
 //! exclusively owns every engine it hosts. Requests are routed to the
-//! owning shard over a *bounded* queue; a full queue sheds with a typed
+//! owning shard over a *bounded* queue; a full queue answers a typed shed
 //! error instead of blocking (backpressure is explicit). Sessions never
 //! migrate while live — only their snapshot *bytes* (plain `Vec<u8>`,
 //! freely `Send`) cross threads.

@@ -3,20 +3,23 @@
 //!
 //! One [`ShardTelemetry`] per shard, created by [`crate::Service`] and
 //! owned (via `Arc`) by both the shard worker and the service handle:
-//! the worker is the only *writer* on the request path, so the atomics
-//! in [`ceal_runtime::telemetry`] never bounce between cores; the
-//! service handle reads them only at scrape time, merging all shards'
-//! snapshots into one exposition
-//! ([`crate::Service::metrics_snapshot`]).
+//! the worker is the only *writer* on the request path (admission
+//! writes only `shed` and `queue_depth`), so the atomics in
+//! [`ceal_runtime::telemetry`] never bounce between cores; the service
+//! handle reads them only at scrape time, merging all shards' snapshots
+//! into one exposition ([`crate::Service::metrics_snapshot`]).
 //!
-//! Two kinds of series live here on purpose:
+//! The registry is the only store for every service count, so two
+//! kinds of series live here on purpose:
 //!
-//! * **Deterministic counters** — request totals by kind, shed /
-//!   evict / restore, error and slow-request counts. In the lockstep
-//!   bench these are pure functions of the schedule and are gated
-//!   against `service_golden.json` (rows `telemetry/...`).
+//! * **Deterministic counts and gauges** — every [`ServiceCounters`]
+//!   fact, request totals by kind, errors, and the session and queue
+//!   gauges. They are kept whatever [`TelemetryConfig::enabled`] says;
+//!   in the lockstep bench they are pure functions of the schedule and
+//!   are gated against `service_golden.json`.
 //! * **Wall-clock series** — queue-wait / handle / restore / reply
-//!   histograms and the engine-segment timer. Reported, never gated.
+//!   histograms, the engine-segment timer and slow-request records.
+//!   Recorded only when telemetry is enabled. Reported, never gated.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -25,19 +28,25 @@ use ceal_runtime::telemetry::{
     Counter, Gauge, Histogram, MetricsSnapshot, Registry, SlowRequestRecord,
 };
 
-use crate::wire::Request;
+use crate::wire::{CounterDelta, Request, ServiceCounters, ShardStat};
 
 /// How many slow-request records each shard retains for inspection
 /// (`metrics.json` exposes them; the log line is the durable artifact).
 pub const SLOW_RING_CAP: usize = 8;
 
+/// Top-k sites reported in slow records. With telemetry enabled every
+/// session carries per-request engine profiling and the
+/// [`ceal_runtime::SiteTally`] hook.
+pub const TOP_SITES: usize = 3;
+
 /// Telemetry configuration, carried in [`crate::ShardConfig`] and
 /// [`crate::ServiceConfig`].
 #[derive(Clone, Copy, Debug)]
 pub struct TelemetryConfig {
-    /// Master switch. Off means the request path takes one predictable
-    /// branch per segment and records nothing (the baseline the
-    /// overhead gate compares against).
+    /// Master switch for the timed half of telemetry. Off means no
+    /// clocks, histograms, slow-request records or engine profiling
+    /// (the baseline the overhead gate compares against); counts and
+    /// gauges are kept either way.
     pub enabled: bool,
     /// Requests whose queue-wait + handle time reaches this many
     /// microseconds emit a [`SlowRequestRecord`]. `0` marks every
@@ -47,11 +56,6 @@ pub struct TelemetryConfig {
     /// Whether slow-request records are written to stderr as structured
     /// one-liners (they always enter the in-memory ring).
     pub slow_log: bool,
-    /// Top-k sites reported in slow records. `> 0` enables per-request
-    /// engine profiling and the [`ceal_runtime::SiteTally`] hook on
-    /// every session; `0` skips both (phases and sites come back
-    /// empty).
-    pub top_sites: usize,
 }
 
 impl Default for TelemetryConfig {
@@ -60,7 +64,6 @@ impl Default for TelemetryConfig {
             enabled: true,
             slow_threshold_us: 250_000,
             slow_log: true,
-            top_sites: 3,
         }
     }
 }
@@ -72,7 +75,6 @@ impl TelemetryConfig {
             enabled: false,
             slow_threshold_us: u64::MAX,
             slow_log: false,
-            top_sites: 0,
         }
     }
 }
@@ -155,6 +157,8 @@ pub struct ReqMeta {
 
 /// One shard's metric handles. Registration happens once at
 /// construction; everything on the request path is an `Arc`'d atomic.
+/// Besides requests, errors and slow requests it holds one counter per
+/// [`ServiceCounters`] fact; the registry is the only store of each.
 pub struct ShardTelemetry {
     cfg: TelemetryConfig,
     index: usize,
@@ -163,17 +167,44 @@ pub struct ShardTelemetry {
     requests: [Arc<Counter>; 5],
     /// Typed-error replies (any [`crate::wire::ErrKind`]).
     pub errors: Arc<Counter>,
+    /// Requests at or over the slow threshold (telemetry enabled only).
+    pub slow_requests: Arc<Counter>,
+
+    /// Requests the shard handled.
+    pub admitted: Arc<Counter>,
     /// Admission rejections for this shard (written by the frontend —
     /// shed requests never reach the worker).
     pub shed: Arc<Counter>,
-    /// Requests at or over the slow threshold.
-    pub slow_requests: Arc<Counter>,
+    /// Sessions opened.
+    pub opened: Arc<Counter>,
+    /// Sessions closed.
+    pub closed: Arc<Counter>,
+    /// Edit batches applied.
+    pub edit_batches: Arc<Counter>,
+    /// Edit ops that changed state.
+    pub edit_ops: Arc<Counter>,
+    /// Edit ops elided (already in the requested state).
+    pub elided_ops: Arc<Counter>,
+    /// Observations served.
+    pub observes: Arc<Counter>,
     /// Sessions evicted to snapshot bytes.
     pub evicted: Arc<Counter>,
     /// Sessions restored from snapshot bytes.
     pub restored: Arc<Counter>,
+    /// Snapshot bytes written by evictions.
+    pub snapshot_bytes: Arc<Counter>,
     /// History ops replayed by restores.
     pub replayed_ops: Arc<Counter>,
+    /// Engine reads re-executed.
+    pub engine_reexec: Arc<Counter>,
+    /// Engine propagation passes.
+    pub engine_props: Arc<Counter>,
+    /// Engine memo hits.
+    pub engine_memo_hits: Arc<Counter>,
+    /// Engine dirty marks (demand policy).
+    pub engine_dirty_marks: Arc<Counter>,
+    /// Engine demand-clean passes.
+    pub engine_demand_cleans: Arc<Counter>,
 
     /// Requests currently queued for this shard.
     pub queue_depth: Arc<Gauge>,
@@ -226,34 +257,49 @@ impl ShardTelemetry {
                 &kind_labels(k),
             )
         });
+        let count = |name: &str, help: &str| r.counter(name, help, &base);
         ShardTelemetry {
             requests,
             request_us,
-            errors: r.counter("ceal_errors_total", "Typed error replies", &base),
-            shed: r.counter(
-                "ceal_shed_total",
-                "Requests refused at admission (queue full)",
-                &base,
-            ),
-            slow_requests: r.counter(
+            errors: count("ceal_errors_total", "Typed error replies"),
+            slow_requests: count(
                 "ceal_slow_requests_total",
                 "Requests at or over the slow threshold",
-                &base,
             ),
-            evicted: r.counter(
+            admitted: count("ceal_admitted_total", "Requests handled by the shard"),
+            shed: count(
+                "ceal_shed_total",
+                "Requests refused at admission (queue full)",
+            ),
+            opened: count("ceal_opened_total", "Sessions opened"),
+            closed: count("ceal_closed_total", "Sessions closed"),
+            edit_batches: count("ceal_edit_batches_total", "Edit batches applied"),
+            edit_ops: count("ceal_edit_ops_total", "Edit ops that changed state"),
+            elided_ops: count("ceal_elided_ops_total", "Edit ops elided (no change)"),
+            observes: count("ceal_observes_total", "Observations served"),
+            evicted: count(
                 "ceal_sessions_evicted_total",
                 "Sessions evicted to snapshot bytes",
-                &base,
             ),
-            restored: r.counter(
+            restored: count(
                 "ceal_sessions_restored_total",
                 "Sessions restored from snapshot bytes",
-                &base,
             ),
-            replayed_ops: r.counter(
+            snapshot_bytes: count(
+                "ceal_snapshot_bytes_total",
+                "Snapshot bytes written by evictions",
+            ),
+            replayed_ops: count(
                 "ceal_replayed_ops_total",
                 "History ops replayed by restores",
-                &base,
+            ),
+            engine_reexec: count("ceal_engine_reexec_total", "Engine reads re-executed"),
+            engine_props: count("ceal_engine_props_total", "Engine propagation passes"),
+            engine_memo_hits: count("ceal_engine_memo_hits_total", "Engine memo hits"),
+            engine_dirty_marks: count("ceal_engine_dirty_marks_total", "Engine dirty marks"),
+            engine_demand_cleans: count(
+                "ceal_engine_demand_cleans_total",
+                "Engine demand-clean passes",
             ),
             queue_depth: r.gauge("ceal_queue_depth", "Requests queued for this shard", &base),
             live_sessions: r.gauge("ceal_live_sessions", "Live (un-evicted) sessions", &base),
@@ -284,6 +330,51 @@ impl ShardTelemetry {
             cfg,
             index,
             registry: r,
+        }
+    }
+
+    /// Adds one request's engine work to the five `engine_*` counters.
+    pub fn add_engine(&self, d: &CounterDelta) {
+        self.engine_reexec.add(d.reads_reexecuted);
+        self.engine_props.add(d.propagations);
+        self.engine_memo_hits.add(d.memo_hits);
+        self.engine_dirty_marks.add(d.dirty_marks);
+        self.engine_demand_cleans.add(d.demand_cleans);
+    }
+
+    /// Reads the [`ServiceCounters`] facts out of the registry. Relaxed
+    /// loads: exact once traffic has stopped, and never torn per field
+    /// while it runs.
+    pub fn counters(&self) -> ServiceCounters {
+        ServiceCounters {
+            admitted: self.admitted.get(),
+            shed: self.shed.get(),
+            opened: self.opened.get(),
+            closed: self.closed.get(),
+            edit_batches: self.edit_batches.get(),
+            edit_ops: self.edit_ops.get(),
+            elided_ops: self.elided_ops.get(),
+            observes: self.observes.get(),
+            evicted: self.evicted.get(),
+            restored: self.restored.get(),
+            snapshot_bytes: self.snapshot_bytes.get(),
+            replayed_ops: self.replayed_ops.get(),
+            engine_reexec: self.engine_reexec.get(),
+            engine_props: self.engine_props.get(),
+            engine_memo_hits: self.engine_memo_hits.get(),
+            engine_dirty_marks: self.engine_dirty_marks.get(),
+            engine_demand_cleans: self.engine_demand_cleans.get(),
+        }
+    }
+
+    /// This shard's gauges as a `stats` reply row.
+    pub fn stat(&self) -> ShardStat {
+        ShardStat {
+            shard: self.index as u32,
+            queue_depth: self.queue_depth.get(),
+            live_sessions: self.live_sessions.get(),
+            evicted_sessions: self.evicted_sessions.get(),
+            live_bytes: self.live_bytes.get(),
         }
     }
 

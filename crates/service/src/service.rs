@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use ceal_runtime::telemetry::MetricsSnapshot;
 
-use crate::metrics::{merge_shards, ReqKind, ReqMeta, ShardTelemetry, TelemetryConfig};
+use crate::metrics::{merge_shards, ReqMeta, ShardTelemetry, TelemetryConfig};
 use crate::shard::{Shard, ShardConfig};
 use crate::wire::{ErrKind, Reply, Request, ServiceCounters, ShardStat};
 
@@ -36,8 +36,8 @@ pub struct ServiceConfig {
     /// Number of shards (worker threads). Session keys are partitioned
     /// across shards by stable hash; each shard owns its partition.
     pub shards: usize,
-    /// Bounded depth of each shard's admission queue; a full queue
-    /// sheds.
+    /// Bounded depth of each shard's admission queue; requests that
+    /// find it full are shed.
     pub queue_cap: usize,
     /// Per-shard memory budget driving LRU eviction.
     pub mem_budget_bytes: usize,
@@ -90,10 +90,10 @@ struct Inner {
     /// `None` after shutdown; taking it drops every queue sender, which
     /// is what tells the workers to drain and exit.
     handles: RwLock<Option<Vec<ShardHandle>>>,
-    sheds: Vec<AtomicU64>,
     joins: Mutex<Vec<JoinHandle<()>>>,
     shards: usize,
-    /// Per-shard metric registries, merged at scrape time.
+    /// Per-shard metric registries: the only store of every count and
+    /// gauge, read by `stats` and `metrics` without entering a queue.
     tels: Vec<Arc<ShardTelemetry>>,
     /// Monotonic request id source (all frontends share it).
     next_id: AtomicU64,
@@ -108,15 +108,14 @@ pub struct Service {
 
 fn shard_worker(rx: Receiver<Job>, cfg: ShardConfig, tel: Arc<ShardTelemetry>) {
     let mut shard = Shard::with_telemetry(cfg, tel.clone());
+    // Every job is a routed request: `stats` and `metrics` are answered
+    // in `Service::try_call` and never enter a queue.
     while let Ok(job) = rx.recv() {
+        tel.queue_depth.dec();
         let on = tel.on();
-        let routed = ReqKind::of(&job.req).is_some();
         let queue_us = if on {
-            tel.queue_depth.dec();
             let us = job.enqueued.elapsed().as_micros() as u64;
-            if routed {
-                tel.queue_wait_us.record(us);
-            }
+            tel.queue_wait_us.record(us);
             us
         } else {
             0
@@ -131,9 +130,7 @@ fn shard_worker(rx: Receiver<Job>, cfg: ShardConfig, tel: Arc<ShardTelemetry>) {
         // state change stands either way.
         let _ = job.reply.send(reply);
         if let Some(t) = t {
-            if routed {
-                tel.reply_us.record(t.elapsed().as_micros() as u64);
-            }
+            tel.reply_us.record(t.elapsed().as_micros() as u64);
         }
     }
 }
@@ -149,7 +146,6 @@ impl Service {
         let shards = cfg.shards.max(1);
         let mut handles = Vec::with_capacity(shards);
         let mut joins = Vec::new();
-        let mut sheds = Vec::with_capacity(shards);
         let mut tels = Vec::with_capacity(shards);
         for i in 0..shards {
             let tel = Arc::new(ShardTelemetry::new(i, cfg.telemetry));
@@ -160,14 +156,12 @@ impl Service {
                 .spawn(move || shard_worker(rx, shard_cfg, worker_tel))
                 .expect("spawn shard worker");
             handles.push(ShardHandle { tx });
-            sheds.push(AtomicU64::new(0));
             tels.push(tel);
             joins.push(join);
         }
         Service {
             inner: Arc::new(Inner {
                 handles: RwLock::new(Some(handles)),
-                sheds,
                 joins: Mutex::new(joins),
                 shards,
                 tels,
@@ -184,8 +178,8 @@ impl Service {
     fn shard_of(&self, req: &Request) -> usize {
         match req.sid() {
             Some(sid) => route_key(sid, self.inner.shards),
-            // Keyless requests (ping) go to shard 0; `stats`
-            // aggregation fans out explicitly below.
+            // Keyless requests (ping) go to shard 0; `stats` and
+            // `metrics` never reach this (see `try_call`).
             None => 0,
         }
     }
@@ -199,9 +193,8 @@ impl Service {
     /// its key) or fails now; it never blocks the caller.
     #[allow(clippy::result_large_err)]
     pub fn try_call(&self, req: Request) -> Result<Receiver<Reply>, Reply> {
-        // `stats` and `metrics` are not shard requests: they aggregate
-        // across every shard (plus the frontend-side shed counts no
-        // shard can see).
+        // `stats` and `metrics` are not shard requests: they read every
+        // shard's registry without entering a queue.
         if matches!(req, Request::Stats | Request::Metrics) {
             {
                 let guard = self.inner.handles.read().unwrap();
@@ -235,26 +228,19 @@ impl Service {
         // Inc the depth gauge *before* the send: the worker's dec on
         // dequeue must never race ahead of it (Gauge::dec saturates,
         // so the race would otherwise strand a phantom +1).
-        if tel.on() {
-            tel.queue_depth.inc();
-        }
+        tel.queue_depth.inc();
         match handles[shard].tx.try_send(job) {
             Ok(()) => Ok(reply_rx),
             Err(TrySendError::Full(_)) => {
-                self.inner.sheds[shard].fetch_add(1, Ordering::Relaxed);
-                if tel.on() {
-                    tel.queue_depth.dec();
-                    tel.shed.inc();
-                }
+                tel.queue_depth.dec();
+                tel.shed.inc();
                 Err(Reply::err(
                     ErrKind::Shed,
                     format!("shard {shard} queue full"),
                 ))
             }
             Err(TrySendError::Disconnected(_)) => {
-                if tel.on() {
-                    tel.queue_depth.dec();
-                }
+                tel.queue_depth.dec();
                 Err(Reply::err(ErrKind::Shutdown, "service stopped"))
             }
         }
@@ -271,9 +257,9 @@ impl Service {
         }
     }
 
-    /// Aggregated deterministic counters across all shards, including
-    /// frontend-side shed counts (sheds never reach a shard, so shard
-    /// counters cannot see them).
+    /// Aggregated deterministic counters across all shards, read from
+    /// their registries (shed counts included: admission writes them
+    /// into the target shard's registry).
     pub fn stats(&self) -> ServiceCounters {
         self.stats_detailed().0
     }
@@ -281,58 +267,17 @@ impl Service {
     /// [`Service::stats`] plus the per-shard gauge breakdown reported
     /// in the `stats` wire reply (queue depth, live/evicted sessions,
     /// resident bytes), ordered by shard index.
+    ///
+    /// Lock-free like [`Service::metrics_snapshot`]: it enters no shard
+    /// queue and waits for no request, so it does not count itself. A
+    /// request still in flight may be partly counted; once traffic has
+    /// stopped the read is exact.
     pub fn stats_detailed(&self) -> (ServiceCounters, Vec<ShardStat>) {
         let mut total = ServiceCounters::default();
-        let mut rows = Vec::new();
-        let mut receivers = Vec::new();
-        {
-            let guard = self.inner.handles.read().unwrap();
-            if let Some(handles) = guard.as_ref() {
-                for (i, h) in handles.iter().enumerate() {
-                    let (reply_tx, reply_rx) = sync_channel(1);
-                    // Blocking send: `stats` participates in queue order
-                    // but is never itself shed. Depth inc precedes the
-                    // send (see try_call).
-                    let on = self.inner.tels[i].on();
-                    if on {
-                        self.inner.tels[i].queue_depth.inc();
-                    }
-                    let sent =
-                        h.tx.send(Job {
-                            req: Request::Stats,
-                            reply: reply_tx,
-                            id: 0,
-                            enqueued: Instant::now(),
-                        })
-                        .is_ok();
-                    if sent {
-                        receivers.push(reply_rx);
-                    } else if on {
-                        self.inner.tels[i].queue_depth.dec();
-                    }
-                }
-            }
+        for tel in &self.inner.tels {
+            total.add(&tel.counters());
         }
-        for rx in receivers {
-            if let Ok(Reply::Stats {
-                counters: c,
-                shards: mut shard_rows,
-            }) = rx.recv()
-            {
-                // Shard-side `admitted` counts every request the worker
-                // processed, including these per-shard Stats probes; back
-                // them out so `stats()` is observation-only.
-                let mut c = c;
-                c.admitted -= 1;
-                total.add(&c);
-                rows.append(&mut shard_rows);
-            }
-        }
-        for s in &self.inner.sheds {
-            total.shed += s.load(Ordering::Relaxed);
-        }
-        rows.sort_by_key(|r| r.shard);
-        (total, rows)
+        (total, self.inner.tels.iter().map(|t| t.stat()).collect())
     }
 
     /// Merged metrics snapshot across every shard registry. Lock-free
@@ -412,6 +357,8 @@ mod tests {
         assert_eq!(stats.edit_batches, 30);
         assert_eq!(stats.observes, 30);
         assert_eq!(stats.admitted, 90);
+        // `stats` reads the registries; it does not count itself.
+        assert_eq!(svc.stats_detailed(), svc.stats_detailed());
         svc.shutdown();
     }
 

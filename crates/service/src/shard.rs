@@ -21,9 +21,9 @@ use std::time::Instant;
 
 use ceal_runtime::telemetry::SlowRequestRecord;
 
-use crate::metrics::{ReqKind, ReqMeta, ShardTelemetry, TelemetryConfig};
+use crate::metrics::{ReqKind, ReqMeta, ShardTelemetry, TelemetryConfig, TOP_SITES};
 use crate::session::{ProgramCache, Session, SessionSpec};
-use crate::wire::{ErrKind, Reply, Request, ServiceCounters, ShardStat};
+use crate::wire::{CounterDelta, ErrKind, Reply, Request, ServiceCounters, ShardStat};
 
 /// Per-shard configuration.
 #[derive(Clone, Copy, Debug)]
@@ -48,9 +48,10 @@ impl Default for ShardConfig {
     }
 }
 
-/// A hosted session slot: live, or parked as snapshot bytes.
+/// A hosted session slot: live (with the byte estimate it contributes
+/// to the `live_bytes` gauge), or parked as snapshot bytes.
 enum Slot {
-    Live(Box<Session>),
+    Live(Box<Session>, usize),
     Evicted(Vec<u8>),
 }
 
@@ -68,14 +69,11 @@ pub struct Shard {
     cfg: ShardConfig,
     sessions: HashMap<String, Slot>,
     programs: ProgramCache,
-    counters: ServiceCounters,
     /// Monotonic request clock for LRU stamps.
     now: u64,
-    /// Cached sum of live sessions' `mem_bytes` estimates; refreshed
-    /// for the touched session on every request.
-    live_bytes: usize,
-    mem_cache: HashMap<String, usize>,
     tel: Arc<ShardTelemetry>,
+    /// `tel.counters()` as of the last handled request.
+    readout: ServiceCounters,
     scratch: ReqScratch,
 }
 
@@ -94,11 +92,9 @@ impl Shard {
             cfg,
             sessions: HashMap::new(),
             programs: ProgramCache::default(),
-            counters: ServiceCounters::default(),
             now: 0,
-            live_bytes: 0,
-            mem_cache: HashMap::new(),
             tel,
+            readout: ServiceCounters::default(),
             scratch: ReqScratch::default(),
         }
     }
@@ -110,19 +106,15 @@ impl Shard {
 
     /// This shard's live gauges, as reported in the `stats` reply.
     pub fn stat(&self) -> ShardStat {
-        let live = self.live_count();
-        ShardStat {
-            shard: self.tel.shard_index() as u32,
-            queue_depth: self.tel.queue_depth.get(),
-            live_sessions: live as u64,
-            evicted_sessions: (self.session_count() - live) as u64,
-            live_bytes: self.live_bytes as u64,
-        }
+        self.tel.stat()
     }
 
-    /// Deterministic service counters accumulated by this shard.
+    /// Deterministic service counters accumulated by this shard: a
+    /// read-out of its registry ([`ShardTelemetry::counters`]) refreshed
+    /// at the end of every [`Shard::handle_traced`]. Nothing increments
+    /// the read-out; every count lives in the registry.
     pub fn counters(&self) -> &ServiceCounters {
-        &self.counters
+        &self.readout
     }
 
     /// Number of hosted sessions (live + evicted).
@@ -130,28 +122,28 @@ impl Shard {
         self.sessions.len()
     }
 
-    /// Number of currently live (un-evicted) sessions.
-    pub fn live_count(&self) -> usize {
-        self.sessions
-            .values()
-            .filter(|s| matches!(s, Slot::Live(_)))
-            .count()
-    }
-
     /// Current estimate of resident session bytes.
     pub fn live_bytes(&self) -> usize {
-        self.live_bytes
+        self.tel.live_bytes.get() as usize
     }
 
-    fn note_mem(&mut self, sid: &str, bytes: usize) {
-        let old = self.mem_cache.insert(sid.to_string(), bytes).unwrap_or(0);
-        self.live_bytes = self.live_bytes - old + bytes;
+    /// Re-estimates live session `sid`'s resident bytes and moves the
+    /// `live_bytes` gauge by the difference.
+    fn note_mem(&mut self, sid: &str) {
+        let Some(Slot::Live(session, est)) = self.sessions.get_mut(sid) else {
+            unreachable!("note_mem on a live session")
+        };
+        let bytes = session.mem_bytes();
+        let gauge = &self.tel.live_bytes;
+        gauge.set(gauge.get() - *est as u64 + bytes as u64);
+        *est = bytes;
     }
 
-    fn drop_mem(&mut self, sid: &str) {
-        if let Some(old) = self.mem_cache.remove(sid) {
-            self.live_bytes -= old;
-        }
+    /// Takes a live session that held `est` bytes out of the gauges.
+    fn drop_live(&self, est: usize) {
+        let gauge = &self.tel.live_bytes;
+        gauge.set(gauge.get() - est as u64);
+        self.tel.live_sessions.dec();
     }
 
     /// Ensures `sid` is live, restoring from snapshot bytes if needed.
@@ -160,39 +152,32 @@ impl Shard {
     fn ensure_live(&mut self, sid: &str) -> Result<bool, Reply> {
         match self.sessions.get(sid) {
             None => Err(Reply::err(ErrKind::UnknownSession, sid)),
-            Some(Slot::Live(_)) => Ok(false),
+            Some(Slot::Live(..)) => Ok(false),
             Some(Slot::Evicted(bytes)) => {
                 let t = self.tel.on().then(Instant::now);
                 let (mut session, replayed) = Session::restore(bytes, &mut self.programs)
                     .map_err(|e| Reply::err(ErrKind::Snapshot, e.to_string()))?;
                 session.last_used = self.now;
-                self.counters.restored += 1;
-                self.counters.replayed_ops += replayed;
+                self.tel.restored.inc();
+                self.tel.replayed_ops.add(replayed);
                 // Restores replay history through the normal request
                 // paths; fold the replay's engine work into the
                 // service-tier aggregate so restore cost is visible.
-                let c = session.counters();
-                self.counters.engine_reexec += c.reads_reexecuted;
-                self.counters.engine_props += c.propagations;
-                self.counters.engine_memo_hits += c.memo_hits;
-                self.counters.engine_dirty_marks += c.dirty_marks;
-                self.counters.engine_demand_cleans += c.demand_cleans;
-                if self.tel.on() && self.tel.config().top_sites > 0 {
+                self.tel
+                    .add_engine(&CounterDelta::from_counters(&session.counters()));
+                if self.tel.on() {
                     session.enable_tracing();
                 }
-                let bytes_est = session.mem_bytes();
                 self.sessions
-                    .insert(sid.to_string(), Slot::Live(Box::new(session)));
-                self.note_mem(sid, bytes_est);
+                    .insert(sid.to_string(), Slot::Live(Box::new(session), 0));
+                self.tel.live_sessions.inc();
+                self.tel.evicted_sessions.dec();
+                self.note_mem(sid);
                 if let Some(t) = t {
                     let us = t.elapsed().as_micros() as u64;
                     self.scratch.restore_us = us;
                     self.scratch.restored = true;
                     self.tel.restore_us.record(us);
-                    self.tel.restored.inc();
-                    self.tel.replayed_ops.add(replayed);
-                    self.tel.live_sessions.inc();
-                    self.tel.evicted_sessions.dec();
                 }
                 Ok(true)
             }
@@ -202,35 +187,31 @@ impl Shard {
     /// Evicts least-recently-used live sessions until the live estimate
     /// fits the budget. The most recent session (`keep`) survives.
     fn enforce_budget(&mut self, keep: &str) {
-        while self.live_bytes > self.cfg.mem_budget_bytes {
+        while self.live_bytes() > self.cfg.mem_budget_bytes {
             let victim = self
                 .sessions
                 .iter()
                 .filter_map(|(k, s)| match s {
-                    Slot::Live(sess) if k != keep => Some((sess.last_used, k.clone())),
+                    Slot::Live(sess, _) if k != keep => Some((sess.last_used, k.clone())),
                     _ => None,
                 })
                 .min();
             let Some((_, victim)) = victim else { break };
-            let Some(Slot::Live(sess)) = self.sessions.get(&victim) else {
+            let Some(Slot::Live(sess, est)) = self.sessions.get(&victim) else {
                 unreachable!()
             };
-            let bytes = sess.snapshot();
-            self.counters.evicted += 1;
-            self.counters.snapshot_bytes += bytes.len() as u64;
-            self.sessions.insert(victim.clone(), Slot::Evicted(bytes));
-            self.drop_mem(&victim);
-            if self.tel.on() {
-                self.tel.evicted.inc();
-                self.tel.live_sessions.dec();
-                self.tel.evicted_sessions.inc();
-            }
+            let (bytes, est) = (sess.snapshot(), *est);
+            self.tel.evicted.inc();
+            self.tel.snapshot_bytes.add(bytes.len() as u64);
+            self.sessions.insert(victim, Slot::Evicted(bytes));
+            self.drop_live(est);
+            self.tel.evicted_sessions.inc();
         }
     }
 
     fn live_mut(&mut self, sid: &str) -> &mut Session {
         match self.sessions.get_mut(sid) {
-            Some(Slot::Live(s)) => s,
+            Some(Slot::Live(s, _)) => s,
             _ => unreachable!("ensure_live holds"),
         }
     }
@@ -245,51 +226,44 @@ impl Shard {
     /// [`Shard::handle`] with request-tracing metadata attached by the
     /// admission layer: the frontend-stamped request id and how long the
     /// job waited in the shard queue. Routed kinds (open/edit/observe/
-    /// close/ping) are counted, timed into the per-kind histograms, and
-    /// checked against the slow-request threshold; service-level probes
-    /// (`stats`, `metrics`) pass through untimed so scrape traffic never
-    /// pollutes the request-latency series.
+    /// close/ping) are counted and, with telemetry enabled, timed into
+    /// the per-kind histograms and checked against the slow-request
+    /// threshold; service-level probes (`stats`, `metrics`) pass through
+    /// uncounted by kind so scrape traffic never pollutes the request
+    /// series.
     pub fn handle_traced(&mut self, req: &Request, meta: ReqMeta) -> Reply {
         self.now += 1;
-        self.counters.admitted += 1;
+        self.tel.admitted.inc();
         self.scratch = ReqScratch::default();
         let kind = ReqKind::of(req);
         let start = (self.tel.on() && kind.is_some()).then(Instant::now);
         let reply = self.dispatch(req);
+        if let Some(kind) = kind {
+            self.tel.requests(kind).inc();
+            if !reply.is_ok() {
+                self.tel.errors.inc();
+            }
+        }
         if let (Some(start), Some(kind)) = (start, kind) {
             let handle_us = start.elapsed().as_micros() as u64;
             let total_us = meta.queue_us.saturating_add(handle_us);
-            self.tel.requests(kind).inc();
             self.tel.handle_us.record(handle_us);
             self.tel.request_hist(kind).record(total_us);
             if matches!(kind, ReqKind::Open | ReqKind::Edit | ReqKind::Observe) {
                 self.tel.engine_us.record(self.scratch.engine_us);
             }
-            if !reply.is_ok() {
-                self.tel.errors.inc();
-            }
-            self.tel.live_bytes.set(self.live_bytes as u64);
             let slow = total_us >= self.tel.config().slow_threshold_us;
-            let k = self.tel.config().top_sites;
             // Tracing sessions accumulate phase slices and site tallies
             // until drained; drain after every request (with k=0 as a
             // cheap reset when the request wasn't slow) so a slow
             // request reports only its own engine work.
-            let (phases, top_sites) = if k > 0 {
-                let live = req.sid().and_then(|sid| match self.sessions.get_mut(sid) {
-                    Some(Slot::Live(s)) => Some(s),
-                    _ => None,
-                });
-                match live {
-                    Some(s) => {
-                        let phases = s.drain_phases();
-                        let sites = s.drain_top_sites(if slow { k } else { 0 });
-                        (phases, sites)
-                    }
-                    None => (Vec::new(), Vec::new()),
+            let live = req.sid().and_then(|sid| self.sessions.get_mut(sid));
+            let (phases, top_sites) = match live {
+                Some(Slot::Live(s, _)) => {
+                    let phases = s.drain_phases();
+                    (phases, s.drain_top_sites(if slow { TOP_SITES } else { 0 }))
                 }
-            } else {
-                (Vec::new(), Vec::new())
+                _ => (Vec::new(), Vec::new()),
             };
             if slow {
                 self.tel.note_slow(SlowRequestRecord {
@@ -307,6 +281,7 @@ impl Shard {
                 });
             }
         }
+        self.readout = self.tel.counters();
         reply
     }
 
@@ -314,7 +289,7 @@ impl Shard {
         match req {
             Request::Ping => Reply::Pong,
             Request::Stats => Reply::Stats {
-                counters: self.counters,
+                counters: self.tel.counters(),
                 shards: vec![self.stat()],
             },
             Request::Metrics => Reply::Metrics(self.tel.snapshot().to_json(true)),
@@ -343,22 +318,18 @@ impl Shard {
                 let t = self.tel.on().then(Instant::now);
                 let mut session = Session::open(spec, &mut self.programs);
                 session.last_used = self.now;
-                self.counters.opened += 1;
-                let c = session.counters();
-                self.counters.engine_props += c.propagations;
-                self.counters.engine_memo_hits += c.memo_hits;
                 if let Some(t) = t {
                     self.scratch.engine_us += t.elapsed().as_micros() as u64;
-                    self.tel.live_sessions.inc();
-                    if self.tel.config().top_sites > 0 {
-                        session.enable_tracing();
-                    }
+                    session.enable_tracing();
                 }
+                self.tel.opened.inc();
+                self.tel
+                    .add_engine(&CounterDelta::from_counters(&session.counters()));
+                self.tel.live_sessions.inc();
                 let value = session.peek();
-                let bytes = session.mem_bytes();
                 self.sessions
-                    .insert(sid.clone(), Slot::Live(Box::new(session)));
-                self.note_mem(sid, bytes);
+                    .insert(sid.clone(), Slot::Live(Box::new(session), 0));
+                self.note_mem(sid);
                 self.enforce_budget(sid);
                 Reply::Opened { value }
             }
@@ -377,19 +348,14 @@ impl Shard {
                     );
                 }
                 let (applied, elided, counters) = session.apply_edits(ops);
-                let bytes = session.mem_bytes();
                 if let Some(t) = t {
                     self.scratch.engine_us += t.elapsed().as_micros() as u64;
                 }
-                self.counters.edit_batches += 1;
-                self.counters.edit_ops += u64::from(applied);
-                self.counters.elided_ops += u64::from(elided);
-                self.counters.engine_reexec += counters.reads_reexecuted;
-                self.counters.engine_props += counters.propagations;
-                self.counters.engine_memo_hits += counters.memo_hits;
-                self.counters.engine_dirty_marks += counters.dirty_marks;
-                self.counters.engine_demand_cleans += counters.demand_cleans;
-                self.note_mem(sid, bytes);
+                self.tel.edit_batches.inc();
+                self.tel.edit_ops.add(u64::from(applied));
+                self.tel.elided_ops.add(u64::from(elided));
+                self.tel.add_engine(&counters);
+                self.note_mem(sid);
                 self.enforce_budget(sid);
                 Reply::Edited {
                     applied,
@@ -407,17 +373,12 @@ impl Shard {
                 let session = self.live_mut(sid);
                 session.last_used = now;
                 let (value, counters) = session.observe();
-                let bytes = session.mem_bytes();
                 if let Some(t) = t {
                     self.scratch.engine_us += t.elapsed().as_micros() as u64;
                 }
-                self.counters.observes += 1;
-                self.counters.engine_reexec += counters.reads_reexecuted;
-                self.counters.engine_props += counters.propagations;
-                self.counters.engine_memo_hits += counters.memo_hits;
-                self.counters.engine_dirty_marks += counters.dirty_marks;
-                self.counters.engine_demand_cleans += counters.demand_cleans;
-                self.note_mem(sid, bytes);
+                self.tel.observes.inc();
+                self.tel.add_engine(&counters);
+                self.note_mem(sid);
                 self.enforce_budget(sid);
                 Reply::Observed {
                     value,
@@ -426,17 +387,12 @@ impl Shard {
                 }
             }
             Request::Close { sid } => {
-                let Some(slot) = self.sessions.remove(sid) else {
-                    return Reply::err(ErrKind::UnknownSession, sid);
-                };
-                if self.tel.on() {
-                    match slot {
-                        Slot::Live(_) => self.tel.live_sessions.dec(),
-                        Slot::Evicted(_) => self.tel.evicted_sessions.dec(),
-                    }
+                match self.sessions.remove(sid) {
+                    None => return Reply::err(ErrKind::UnknownSession, sid),
+                    Some(Slot::Live(_, est)) => self.drop_live(est),
+                    Some(Slot::Evicted(_)) => self.tel.evicted_sessions.dec(),
                 }
-                self.drop_mem(sid);
-                self.counters.closed += 1;
+                self.tel.closed.inc();
                 Reply::Closed
             }
         }
@@ -499,15 +455,15 @@ mod tests {
             shard.counters().evicted >= 1,
             "budget never forced an eviction"
         );
+        // Evictions minus restores = sessions currently parked.
         assert_eq!(
             shard.counters().evicted,
-            shard.counters().restored + deficit(&shard)
+            shard.counters().restored + shard.stat().evicted_sessions
         );
-    }
-
-    /// Evictions minus restores = sessions currently parked.
-    fn deficit(shard: &Shard) -> u64 {
-        (shard.session_count() - shard.live_count()) as u64
+        assert_eq!(
+            shard.stat().live_sessions + shard.stat().evicted_sessions,
+            shard.session_count() as u64
+        );
     }
 
     #[test]
@@ -535,10 +491,9 @@ mod tests {
     fn telemetry_counts_requests_and_reports_slow_records() {
         let mut shard = Shard::new(ShardConfig {
             telemetry: TelemetryConfig {
-                enabled: true,
                 slow_threshold_us: 0, // everything is "slow": exercise the record path
                 slow_log: false,
-                top_sites: 4,
+                ..Default::default()
             },
             ..Default::default()
         });

@@ -238,7 +238,9 @@ impl CounterDelta {
 /// Deterministic service-tier counters, aggregated across shards by
 /// [`crate::Service::stats`] and gated in CI like the runtime counter
 /// golden (wall clock excluded; every one of these is a pure function
-/// of the request schedule in lockstep mode).
+/// of the request schedule in lockstep mode). A read-out of the shard
+/// registries ([`crate::ShardTelemetry::counters`]), which are the only
+/// place these facts are counted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceCounters {
     /// Requests admitted into a shard queue.

@@ -5,9 +5,10 @@
 //! the real server — `Shard::handle` is the shared implementation, and
 //! routing is the same stable hash on both sides.
 
+use ceal_service::metrics::TelemetryConfig;
 use ceal_service::service::{route_key, Service, ServiceConfig};
 use ceal_service::shard::{Shard, ShardConfig};
-use ceal_service::wire::{EditOp, PolicyArg, Reply, Request, ServiceCounters, Workload};
+use ceal_service::wire::{EditOp, PolicyArg, Reply, Request, ServiceCounters, ShardStat, Workload};
 
 fn traffic(sessions: u64) -> Vec<Request> {
     let mut reqs = Vec::new();
@@ -50,6 +51,13 @@ fn traffic(sessions: u64) -> Vec<Request> {
 
 #[test]
 fn threaded_service_matches_directly_driven_shards() {
+    // Counts and session gauges are kept whatever the telemetry switch
+    // says, so the equality must hold with it on and off.
+    check_against_direct_shards(TelemetryConfig::default());
+    check_against_direct_shards(TelemetryConfig::disabled());
+}
+
+fn check_against_direct_shards(telemetry: TelemetryConfig) {
     const SHARDS: usize = 3;
     // Budget small enough to force evict/restore traffic through both
     // executors — the equality must hold for the whole lifecycle.
@@ -61,7 +69,7 @@ fn threaded_service_matches_directly_driven_shards() {
             Shard::new(ShardConfig {
                 mem_budget_bytes: budget,
                 max_sessions: 1000,
-                ..Default::default()
+                telemetry,
             })
         })
         .collect();
@@ -80,17 +88,24 @@ fn threaded_service_matches_directly_driven_shards() {
         queue_cap: 64,
         mem_budget_bytes: budget,
         max_sessions: 1000,
-        ..Default::default()
+        telemetry,
     });
     let mut threaded_replies = Vec::new();
     for req in &reqs {
         threaded_replies.push(svc.call(req.clone()));
     }
-    let threaded = svc.stats();
+    let (threaded, rows) = svc.stats_detailed();
     svc.shutdown();
 
     assert_eq!(direct_replies, threaded_replies, "reply streams diverge");
     assert_eq!(direct, threaded, "deterministic counters diverge");
+    let sessions = |r: ShardStat| (r.live_sessions, r.evicted_sessions);
+    let direct_rows: Vec<_> = shards.iter().map(|s| sessions(s.stat())).collect();
+    let threaded_rows: Vec<_> = rows.into_iter().map(sessions).collect();
+    assert_eq!(
+        direct_rows, threaded_rows,
+        "per-shard session gauges diverge"
+    );
     assert!(
         direct.evicted > 0,
         "oracle vacuous: no evictions under budget"
