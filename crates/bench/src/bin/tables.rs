@@ -1,6 +1,7 @@
-//! Regenerates the paper's tables and figures (§8). See `--help`.
+//! Regenerates the paper's tables and figures (§8) and runs the
+//! deterministic counter gate. Run without arguments for usage.
 
-use ceal_bench::{fmt_bytes, fmt_n, fmt_ratio, fmt_secs, Opts};
+use ceal_bench::{fmt_bytes, fmt_n, fmt_ratio, fmt_secs, profile, Opts};
 use ceal_suite::harness::Bench;
 
 fn main() {
@@ -14,7 +15,9 @@ fn main() {
         Some("fig15") => fig15(&opts),
         Some("ablation") => ablation(&opts),
         Some("handopt") => handopt(&opts),
-        Some("bench") => ceal_bench::runtime_bench::run(&opts),
+        Some("gate") => std::process::exit(profile::run_gate(&opts)),
+        Some("profile") => profile::run_profile(&opts),
+        Some("trace") => profile::run_trace(&opts),
         Some("all") => {
             table1(&opts);
             table2(&opts);
@@ -27,19 +30,17 @@ fn main() {
         }
         _ => {
             eprintln!(
-                "usage: tables <table1|table2|table3|fig13|fig14|fig15|ablation|bench|all> \
+                "usage: tables <table1|table2|table3|fig13|fig14|fig15|ablation|handopt|all> \
                  [--n-big N] [--n-small N] [--edits N] [--seed N]\n\
-                 bench extras: [--quick] [--out FILE] [--baseline FILE] [--save-baseline FILE]\n\
-                 \x20                [--profile [--profile-out FILE]] write per-phase counter \
-                 profiles (BENCH_profile.json)\n\
-                 \x20                [--gate [--golden FILE]] compare deterministic counters \
-                 against the golden profile\n\
-                 \x20                (UPDATE_GOLDEN=1 re-blesses the golden file; gate exits \
-                 1 on drift)\n\
-                 \x20                [--trace [--trace-out DIR]] record the profile workloads \
-                 and write Perfetto timelines,\n\
-                 \x20                per-site attribution tables and stream digests \
-                 (trace-artifacts/)"
+                 \x20      tables gate [--golden FILE]    diff the deterministic counters against \
+                 the golden profile\n\
+                 \x20                                     (UPDATE_GOLDEN=1 re-blesses it; exits 1 \
+                 on drift)\n\
+                 \x20      tables profile [--out FILE]    write per-phase counter profiles \
+                 (BENCH_profile.json)\n\
+                 \x20      tables trace [--out DIR]       write Perfetto timelines, per-site \
+                 attribution and stream digests\n\
+                 \x20                                     (trace-artifacts/)"
             );
             std::process::exit(2);
         }

@@ -8,17 +8,18 @@
 //! * `tables fig13`  — Fig. 13 (tcon: from-scratch, update, speedup vs n),
 //! * `tables fig14`  — Fig. 14 (propagation slowdown under heap limits),
 //! * `tables fig15`  — Fig. 15 (compile time vs generated code size),
-//! * `tables ablation` — the DESIGN.md §6 ablations (memo / keyed alloc).
+//! * `tables ablation` — the DESIGN.md §6 ablations (memo / keyed alloc),
+//! * `tables handopt` — the §8.3 comparison against hand-optimised tcon.
 //!
-//! * `tables bench`  — the hermetic perf harness: micro-benchmarks of
-//!   the run-time primitives plus a fig13-style tcon run, written as
-//!   machine-readable `BENCH_runtime.json` (perf trajectory across PRs).
-//!   Its micro-benchmarks self-time through [`timer`] (no external
-//!   harness).
+//! It also owns the deterministic counter gate over the [`profile`]
+//! workloads, which times nothing:
+//!
+//! * `tables gate [--golden F]` — diff the counters against the golden,
+//! * `tables profile [--out F]` — write the per-phase counter report,
+//! * `tables trace [--out DIR]` — write Perfetto timelines, per-site
+//!   attribution and stream digests.
 
 pub mod profile;
-pub mod runtime_bench;
-pub mod timer;
 
 /// Formats seconds like the paper's tables: scientific for sub-second
 /// quantities (e.g. `2.1e-6`), fixed-point otherwise.
@@ -72,18 +73,13 @@ impl Opts {
         (sub, Opts { args: it.collect() })
     }
 
-    /// Integer option `--name v` with a default.
+    /// Integer option `--name v` with a default. Panics on a value that
+    /// does not parse, rather than silently running with the default.
     pub fn get_usize(&self, name: &str, default: usize) -> usize {
-        self.get(name)
-            .map(|v| v.parse().unwrap_or(default))
-            .unwrap_or(default)
-    }
-
-    /// Float option.
-    pub fn get_f64(&self, name: &str, default: f64) -> f64 {
-        self.get(name)
-            .map(|v| v.parse().unwrap_or(default))
-            .unwrap_or(default)
+        self.get(name).map_or(default, |v| {
+            v.parse()
+                .unwrap_or_else(|e| panic!("--{name}: cannot parse `{v}` as an integer ({e})"))
+        })
     }
 
     /// Raw option lookup.
@@ -127,5 +123,14 @@ mod tests {
         assert_eq!(o.get_usize("m", 7), 7);
         assert!(o.has("quick"));
         assert!(!o.has("slow"));
+    }
+
+    #[test]
+    #[should_panic(expected = "--edits: cannot parse `1k`")]
+    fn opts_reject_unparsable_integers() {
+        let o = Opts {
+            args: vec!["--edits".into(), "1k".into()],
+        };
+        o.get_usize("edits", 250);
     }
 }

@@ -1,25 +1,26 @@
-//! Deterministic propagation profiles and the counter gate behind
-//! `tables bench --profile` / `tables bench --gate` (DESIGN.md §10).
+//! Deterministic propagation profiles behind `tables gate`,
+//! `tables profile` and `tables trace` (DESIGN.md §10).
 //!
 //! Wall-clock numbers are useless as a CI regression gate on shared
 //! runners, but the engine's operation counters are a *deterministic*
 //! function of (program, input seed, edit script): the same build
 //! performs exactly the same reads, memo probes and purges on every
 //! machine. This module runs a fixed set of profile workloads with
-//! [`Engine::enable_profiling`], emits the per-phase reports as
-//! `BENCH_profile.json`, and — in gate mode — diffs the flattened
+//! [`Engine::enable_profiling`]. `tables gate` diffs the flattened
 //! counters against the checked-in golden file
 //! `crates/bench/baselines/profile_golden.json`, failing with a
-//! per-counter delta table on any drift.
+//! per-counter delta table on any drift; `tables profile` writes the
+//! per-phase reports as `BENCH_profile.json` (generated, not
+//! committed: the golden is the one committed copy of the counters).
 //!
 //! Blessing a deliberate change:
 //!
 //! ```text
-//! UPDATE_GOLDEN=1 cargo run --release -p ceal-bench --bin tables -- bench --gate
+//! UPDATE_GOLDEN=1 cargo run --release -p ceal-bench --bin tables -- gate
 //! ```
 //!
-//! Workload sizes are fixed (no `--quick` scaling) so golden counters
-//! are identical in every configuration that runs them.
+//! Workload sizes are fixed, so golden counters are identical in every
+//! configuration that runs them.
 
 use crate::Opts;
 use ceal_runtime::prelude::*;
@@ -30,7 +31,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-/// Per-workload trace artifacts captured by `tables bench --trace`.
+/// Per-workload trace artifacts captured by `tables trace`.
 pub struct WorkloadTrace {
     /// Workload name (matches the [`Profile`] name).
     pub name: String,
@@ -89,8 +90,8 @@ fn edit_positions(n: usize, max_edits: usize, seed: u64) -> Vec<usize> {
     order
 }
 
-/// The engine microbench workload: a 64-deep copy chain driven through
-/// modify/propagate, then a full purge.
+/// A 64-deep copy chain driven through modify/propagate, then a full
+/// purge.
 fn profile_chain64(sink: Option<&mut TraceSink>) -> Profile {
     let mut b = ProgramBuilder::new();
     let body = b.native("copy_body", |e, args| {
@@ -375,7 +376,7 @@ pub fn collect_profiles() -> Vec<Profile> {
 
 /// Like [`collect_profiles`], but with `Some(sink)` additionally
 /// records every workload's event stream and exports trace artifacts
-/// into the sink (`tables bench --trace`).
+/// into the sink (`tables trace`).
 pub fn collect_profiles_traced(sink: &mut Option<TraceSink>) -> Vec<Profile> {
     vec![
         profile_chain64(sink.as_mut()),
@@ -388,8 +389,171 @@ pub fn collect_profiles_traced(sink: &mut Option<TraceSink>) -> Vec<Profile> {
     ]
 }
 
+/// Reads re-executed per propagation, as an exact rational
+/// `(total, propagations)` so report consumers stay float-free
+/// (floats would make golden comparisons formatting-sensitive).
+fn reads_per_update(p: &Profile) -> (u64, u32) {
+    let (n, prop) = p.total(PhaseKind::Propagate);
+    (prop.reads_reexecuted, n)
+}
+
+/// Memo hit rate over all propagations, as `(hits, probes)`.
+fn memo_hit_rate(p: &Profile) -> (u64, u64) {
+    let (_, prop) = p.total(PhaseKind::Propagate);
+    (prop.memo_hits, prop.memo_hits + prop.memo_misses)
+}
+
+/// One profile's JSON report: summary gauges, aggregated per-kind
+/// counters, and the full per-phase breakdown (counters that are zero
+/// are omitted from phase rows to keep reports readable; summaries
+/// always carry every counter).
+fn profile_json(p: &Profile, indent: usize) -> String {
+    let pad = " ".repeat(indent);
+    let mut s = String::new();
+    let _ = writeln!(s, "{pad}{{");
+    let _ = writeln!(s, "{pad}  \"name\": {:?},", p.name);
+    let _ = writeln!(s, "{pad}  \"trace_len\": {},", p.trace_len);
+    let _ = writeln!(s, "{pad}  \"live_bytes\": {},", p.live_bytes);
+    let _ = writeln!(s, "{pad}  \"max_live_bytes\": {},", p.max_live_bytes);
+    let (rr, nprop) = reads_per_update(p);
+    let (hits, probes) = memo_hit_rate(p);
+    let _ = writeln!(s, "{pad}  \"propagations\": {nprop},");
+    let _ = writeln!(s, "{pad}  \"reads_reexecuted_total\": {rr},");
+    let _ = writeln!(s, "{pad}  \"memo_hits_total\": {hits},");
+    let _ = writeln!(s, "{pad}  \"memo_probes_total\": {probes},");
+    for kind in PHASE_KINDS {
+        let (n, sum) = p.total(kind);
+        if n == 0
+            && matches!(
+                kind,
+                PhaseKind::Purge | PhaseKind::Batch | PhaseKind::DemandClean
+            )
+        {
+            continue;
+        }
+        let _ = writeln!(s, "{pad}  \"{}\": {{", kind.name());
+        let _ = writeln!(s, "{pad}    \"phases\": {n},");
+        let entries: Vec<String> = sum
+            .entries()
+            .map(|(k, v)| format!("{pad}    \"{k}\": {v}"))
+            .collect();
+        s.push_str(&entries.join(",\n"));
+        let _ = writeln!(s, "\n{pad}  }},");
+    }
+    let _ = writeln!(s, "{pad}  \"phase_list\": [");
+    for (i, ph) in p.phases.iter().enumerate() {
+        let nz: Vec<String> = ph
+            .counters
+            .entries()
+            .filter(|&(_, v)| v != 0)
+            .map(|(k, v)| format!("\"{k}\": {v}"))
+            .collect();
+        let _ = write!(
+            s,
+            "{pad}    {{\"phase\": \"{}#{}\", \"trace_len\": {}, \"live_bytes\": {}{}{}}}",
+            ph.kind.name(),
+            ph.seq,
+            ph.trace_len,
+            ph.live_bytes,
+            if nz.is_empty() { "" } else { ", " },
+            nz.join(", ")
+        );
+        s.push_str(if i + 1 < p.phases.len() { ",\n" } else { "\n" });
+    }
+    let _ = writeln!(s, "{pad}  ]");
+    let _ = write!(s, "{pad}}}");
+    s
+}
+
+/// Phase kinds in report order.
+const PHASE_KINDS: [PhaseKind; 5] = [
+    PhaseKind::InitialRun,
+    PhaseKind::Propagate,
+    PhaseKind::Batch,
+    PhaseKind::Purge,
+    PhaseKind::DemandClean,
+];
+
+/// The flat `key → value` view used for golden-profile gating: every
+/// key is `<name>/<section>/<counter>` and every value an integer, so
+/// comparisons are exact and diffable per counter.
+fn flat_counters(p: &Profile) -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    for kind in PHASE_KINDS {
+        let (n, sum) = p.total(kind);
+        if n == 0 {
+            continue;
+        }
+        out.push((format!("{}/{}/phases", p.name, kind.name()), n as u64));
+        for (k, v) in sum.entries() {
+            out.push((format!("{}/{}/{}", p.name, kind.name(), k), v));
+        }
+    }
+    out.push((format!("{}/final/trace_len", p.name), p.trace_len));
+    out.push((format!("{}/final/live_bytes", p.name), p.live_bytes));
+    out.push((format!("{}/final/max_live_bytes", p.name), p.max_live_bytes));
+    out
+}
+
+/// A human-readable table of one profile: one row per counter, one
+/// column per phase kind (aggregated), plus the gauges.
+fn render_table(p: &Profile) -> String {
+    let mut s = String::new();
+    let (ni, init) = p.total(PhaseKind::InitialRun);
+    let (np, prop) = p.total(PhaseKind::Propagate);
+    let (nb, batch) = p.total(PhaseKind::Batch);
+    let (nu, purge) = p.total(PhaseKind::Purge);
+    let (nd, demand) = p.total(PhaseKind::DemandClean);
+    let _ = writeln!(s, "profile: {}", p.name);
+    let _ = writeln!(
+        s,
+        "  {:<24} {:>14} {:>14} {:>14} {:>14} {:>14}",
+        "counter",
+        format!("init({ni})"),
+        format!("propagate({np})"),
+        format!("batch({nb})"),
+        format!("purge({nu})"),
+        format!("demand({nd})")
+    );
+    for (i, (name, iv)) in init.entries().enumerate() {
+        let pv = prop.values()[i];
+        let bv = batch.values()[i];
+        let uv = purge.values()[i];
+        let dv = demand.values()[i];
+        if iv == 0 && pv == 0 && bv == 0 && uv == 0 && dv == 0 {
+            continue;
+        }
+        let _ = writeln!(
+            s,
+            "  {name:<24} {iv:>14} {pv:>14} {bv:>14} {uv:>14} {dv:>14}"
+        );
+    }
+    let _ = writeln!(s, "  {:<24} {:>14}", "trace_len (final)", p.trace_len);
+    let _ = writeln!(s, "  {:<24} {:>14}", "live_bytes (final)", p.live_bytes);
+    let _ = writeln!(s, "  {:<24} {:>14}", "max_live_bytes", p.max_live_bytes);
+    let (rr, n) = reads_per_update(p);
+    if n > 0 {
+        let _ = writeln!(
+            s,
+            "  {:<24} {:>14.2}",
+            "reads reexec / update",
+            rr as f64 / n as f64
+        );
+    }
+    let (hits, probes) = memo_hit_rate(p);
+    if probes > 0 {
+        let _ = writeln!(
+            s,
+            "  {:<24} {:>13.1}%",
+            "memo hit rate",
+            100.0 * hits as f64 / probes as f64
+        );
+    }
+    s
+}
+
 /// Per-workload memory summary rows for the `"memory"` section of
-/// `BENCH_profile.json` and the `--profile` console table: the
+/// `BENCH_profile.json` and the `tables profile` console table: the
 /// high-water mark (`max_live_bytes`, the paper's "Max Live" column),
 /// the peak live footprint observed at any phase boundary, and the
 /// post-purge floor. Deterministic — the byte accounting is a cost
@@ -405,7 +569,7 @@ pub fn memory_rows(profiles: &[Profile]) -> Vec<(String, u64, u64, u64)> {
         .collect()
 }
 
-/// The memory table printed by `tables bench --profile`.
+/// The memory table printed by `tables profile`.
 pub fn render_memory_table(profiles: &[Profile]) -> String {
     let mut s = String::new();
     let _ = writeln!(
@@ -434,7 +598,7 @@ pub fn profiles_json(profiles: &[Profile]) -> String {
     }
     s.push_str("  ],\n  \"profiles\": [\n");
     for (i, p) in profiles.iter().enumerate() {
-        s.push_str(&p.to_json(4));
+        s.push_str(&profile_json(p, 4));
         s.push_str(if i + 1 < profiles.len() { ",\n" } else { "\n" });
     }
     s.push_str("  ]\n}\n");
@@ -443,7 +607,7 @@ pub fn profiles_json(profiles: &[Profile]) -> String {
 
 /// Flattens profiles to sorted `key → value` pairs for gating.
 pub fn flatten(profiles: &[Profile]) -> Vec<(String, u64)> {
-    let mut out: Vec<(String, u64)> = profiles.iter().flat_map(|p| p.flat_counters()).collect();
+    let mut out: Vec<(String, u64)> = profiles.iter().flat_map(flat_counters).collect();
     out.sort();
     out
 }
@@ -536,32 +700,29 @@ pub fn diff_counters(current: &[(String, u64)], golden: &[(String, u64)]) -> Opt
     Some(t)
 }
 
-/// `tables bench --profile`: run the workloads, print the tables, and
-/// write the JSON report next to `BENCH_runtime.json`.
+/// `tables profile`: run the workloads, print the tables, and write
+/// the JSON report to `--out FILE` (default `BENCH_profile.json`).
 pub fn run_profile(opts: &Opts) {
-    let out_path = opts
-        .get("profile-out")
-        .unwrap_or("BENCH_profile.json")
-        .to_string();
+    let out_path = opts.get("out").unwrap_or("BENCH_profile.json");
     let profiles = collect_profiles();
     println!();
     for p in &profiles {
-        println!("{}", p.render_table());
+        println!("{}", render_table(p));
     }
     println!("{}", render_memory_table(&profiles));
-    std::fs::write(&out_path, profiles_json(&profiles)).expect("write profile json");
+    std::fs::write(out_path, profiles_json(&profiles)).expect("write profile json");
     println!("profiles written to {out_path}");
 }
 
-/// `tables bench --trace`: run the profile workloads with a
-/// [`TraceRecorder`] installed and write per-workload trace artifacts
-/// into `--trace-out DIR` (default `trace-artifacts/`):
+/// `tables trace`: run the profile workloads with a [`TraceRecorder`]
+/// installed and write per-workload trace artifacts into `--out DIR`
+/// (default `trace-artifacts/`):
 ///
 /// * `{name}.trace.json` — Chrome trace-event timeline (Perfetto),
 /// * `{name}.sites.json` / `{name}.sites.txt` — per-site attribution,
 /// * `digests.json` — every workload's deterministic stream digest.
-pub fn run_trace(opts: &Opts) -> i32 {
-    let dir = PathBuf::from(opts.get("trace-out").unwrap_or("trace-artifacts"));
+pub fn run_trace(opts: &Opts) {
+    let dir = PathBuf::from(opts.get("out").unwrap_or("trace-artifacts"));
     std::fs::create_dir_all(&dir).expect("create trace output dir");
     let mut sink = Some(TraceSink::default());
     let profiles = collect_profiles_traced(&mut sink);
@@ -597,10 +758,9 @@ pub fn run_trace(opts: &Opts) -> i32 {
     digests.push_str("  }\n}\n");
     std::fs::write(dir.join("digests.json"), digests).expect("write digests json");
     println!("trace artifacts written to {}", dir.display());
-    0
 }
 
-/// `tables bench --gate`: run the workloads and compare against the
+/// `tables gate`: run the workloads and compare against the
 /// golden file (or re-bless it when `UPDATE_GOLDEN=1`). Returns the
 /// process exit code.
 pub fn run_gate(opts: &Opts) -> i32 {
@@ -627,7 +787,7 @@ pub fn run_gate(opts: &Opts) -> i32 {
         Err(e) => {
             eprintln!(
                 "counter gate: cannot read golden {} ({e}); bless one with \
-                 UPDATE_GOLDEN=1 `tables bench --gate`",
+                 UPDATE_GOLDEN=1 `tables gate`",
                 path.display()
             );
             return 1;
@@ -653,7 +813,7 @@ pub fn run_gate(opts: &Opts) -> i32 {
             eprintln!("{table}");
             eprintln!(
                 "If this change is intended, re-bless with:\n  UPDATE_GOLDEN=1 cargo run \
-                 --release -p ceal-bench --bin tables -- bench --gate"
+                 --release -p ceal-bench --bin tables -- gate"
             );
             1
         }
@@ -663,6 +823,97 @@ pub fn run_gate(opts: &Opts) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ceal_runtime::obs::Phase;
+
+    fn sample_profile() -> Profile {
+        let c1 = OpCounters {
+            reads_created: 10,
+            writes_created: 4,
+            ..OpCounters::default()
+        };
+        let c2 = OpCounters {
+            reads_reexecuted: 3,
+            memo_hits: 2,
+            memo_misses: 2,
+            propagations: 1,
+            ..OpCounters::default()
+        };
+        Profile {
+            name: "sample".into(),
+            phases: vec![
+                Phase {
+                    kind: PhaseKind::InitialRun,
+                    seq: 0,
+                    counters: c1,
+                    trace_len: 30,
+                    live_bytes: 2_000,
+                },
+                Phase {
+                    kind: PhaseKind::Propagate,
+                    seq: 0,
+                    counters: c2,
+                    trace_len: 30,
+                    live_bytes: 2_000,
+                },
+                Phase {
+                    kind: PhaseKind::Propagate,
+                    seq: 1,
+                    counters: c2,
+                    trace_len: 30,
+                    live_bytes: 2_000,
+                },
+            ],
+            lifetime: {
+                let mut l = c1;
+                l.add(&c2);
+                l.add(&c2);
+                l
+            },
+            trace_len: 30,
+            live_bytes: 2_000,
+            max_live_bytes: 2_500,
+        }
+    }
+
+    #[test]
+    fn totals_and_rates() {
+        let p = sample_profile();
+        let (n, prop) = p.total(PhaseKind::Propagate);
+        assert_eq!(n, 2);
+        assert_eq!(prop.reads_reexecuted, 6);
+        assert_eq!(reads_per_update(&p), (6, 2));
+        assert_eq!(memo_hit_rate(&p), (4, 8));
+    }
+
+    #[test]
+    fn flat_counters_cover_phases_and_gauges() {
+        let p = sample_profile();
+        let flat = flat_counters(&p);
+        let get = |k: &str| flat.iter().find(|(n, _)| n == k).map(|&(_, v)| v);
+        assert_eq!(get("sample/init/reads_created"), Some(10));
+        assert_eq!(get("sample/propagate/phases"), Some(2));
+        assert_eq!(get("sample/propagate/reads_reexecuted"), Some(6));
+        assert_eq!(get("sample/final/max_live_bytes"), Some(2_500));
+        // No purge phase recorded → no purge keys.
+        assert!(!flat.iter().any(|(n, _)| n.contains("/purge/")));
+    }
+
+    #[test]
+    fn json_report_is_well_formed_enough() {
+        let p = sample_profile();
+        let j = profile_json(&p, 0);
+        assert!(j.starts_with('{') && j.ends_with('}'));
+        assert!(j.contains("\"name\": \"sample\""));
+        assert!(j.contains("\"propagate\""));
+        assert!(j.contains("\"phase\": \"propagate#1\""));
+        // Zero counters are dropped from phase rows.
+        assert!(!j.contains(
+            "\"phase\": \"init#0\", \"trace_len\": 30, \"live_bytes\": 2000, \"memo_hits\""
+        ));
+        let table = render_table(&p);
+        assert!(table.contains("memo hit rate"));
+        assert!(table.contains("reads reexec / update"));
+    }
 
     #[test]
     fn golden_round_trips_and_diffs() {

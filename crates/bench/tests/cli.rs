@@ -1,0 +1,45 @@
+//! The `tables` command line: the usage text lists every subcommand
+//! that `main` dispatches, and unknown subcommands (including the
+//! removed `bench`) exit with code 2.
+
+use std::process::Command;
+
+fn tables(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_tables"))
+        .args(args)
+        .output()
+        .expect("run tables")
+}
+
+/// The subcommands `main` dispatches, read from its `match` arms.
+fn dispatched() -> Vec<&'static str> {
+    let src = include_str!("../src/bin/tables.rs");
+    let main = &src[src.find("fn main()").expect("main")..];
+    let main = &main[..main.find("\n}\n").expect("end of main")];
+    main.split("Some(\"")
+        .skip(1)
+        .map(|rest| &rest[..rest.find('"').expect("closing quote")])
+        .collect()
+}
+
+#[test]
+fn bare_tables_prints_usage_naming_every_subcommand() {
+    let subs = dispatched();
+    assert!(subs.len() >= 12, "too few subcommands parsed: {subs:?}");
+    let out = tables(&[]);
+    assert_eq!(out.status.code(), Some(2));
+    let usage = String::from_utf8_lossy(&out.stderr);
+    let words: Vec<&str> = usage
+        .split(|c: char| c.is_whitespace() || "<|>".contains(c))
+        .collect();
+    for sub in subs {
+        assert!(words.contains(&sub), "usage omits `{sub}`:\n{usage}");
+    }
+}
+
+#[test]
+fn removed_bench_subcommand_is_rejected() {
+    let out = tables(&["bench", "--gate"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage:"));
+}

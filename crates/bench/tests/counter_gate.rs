@@ -31,7 +31,7 @@ fn workloads_match_golden_and_detect_drift() {
     // a deterministic function of the code, not of the machine or the
     // build profile running this test.
     let text = std::fs::read_to_string(golden_path())
-        .expect("golden profile missing; bless with UPDATE_GOLDEN=1 `tables bench --gate`");
+        .expect("golden profile missing; bless with UPDATE_GOLDEN=1 `tables gate`");
     let golden = parse_golden(&text).expect("golden parses");
     if let Some(table) = diff_counters(&current, &golden) {
         panic!("{table}\n(if this drift is intended, re-bless the golden profile)");

@@ -1,13 +1,13 @@
 //! Engine observability: event hooks, per-phase counter scoping, and
-//! paper-style profile reports (DESIGN.md §10).
+//! paper-style profiles (DESIGN.md §10).
 //!
 //! The paper's evaluation (§8, Tables 1–2) is built on measuring what
 //! change propagation *does* — trace size, re-executed reads, memo
 //! matches, live memory — not just how long it takes. This module is
 //! the lens for that: it scopes the engine's lifetime [`Stats`](crate::stats::Stats)
 //! counters to *phases* (the initial run, each propagation, a full
-//! trace purge) and renders the result as a machine-readable JSON
-//! report plus a human-readable table.
+//! trace purge) and hands the result out as a [`Profile`];
+//! `crates/bench` renders profiles as JSON reports and tables.
 //!
 //! Because every counter is a deterministic function of (program,
 //! input seed, edit script), profiles double as a noise-free CI
@@ -973,274 +973,11 @@ impl Profile {
         }
         (n, sum)
     }
-
-    /// Reads re-executed per propagation, as an exact rational
-    /// `(total, propagations)` so report consumers stay float-free
-    /// (floats would make golden comparisons formatting-sensitive).
-    pub fn reads_per_update(&self) -> (u64, u32) {
-        let (n, prop) = self.total(PhaseKind::Propagate);
-        (prop.reads_reexecuted, n)
-    }
-
-    /// Memo hit rate over all propagations, as `(hits, probes)`.
-    pub fn memo_hit_rate(&self) -> (u64, u64) {
-        let (_, prop) = self.total(PhaseKind::Propagate);
-        (prop.memo_hits, prop.memo_hits + prop.memo_misses)
-    }
-
-    /// The machine-readable JSON report: summary gauges, aggregated
-    /// per-kind counters, and the full per-phase breakdown (counters
-    /// that are zero are omitted from phase rows to keep reports
-    /// readable; summaries always carry every counter).
-    pub fn to_json(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let mut s = String::new();
-        let _ = writeln!(s, "{pad}{{");
-        let _ = writeln!(s, "{pad}  \"name\": {:?},", self.name);
-        let _ = writeln!(s, "{pad}  \"trace_len\": {},", self.trace_len);
-        let _ = writeln!(s, "{pad}  \"live_bytes\": {},", self.live_bytes);
-        let _ = writeln!(s, "{pad}  \"max_live_bytes\": {},", self.max_live_bytes);
-        let (rr, nprop) = self.reads_per_update();
-        let (hits, probes) = self.memo_hit_rate();
-        let _ = writeln!(s, "{pad}  \"propagations\": {nprop},");
-        let _ = writeln!(s, "{pad}  \"reads_reexecuted_total\": {rr},");
-        let _ = writeln!(s, "{pad}  \"memo_hits_total\": {hits},");
-        let _ = writeln!(s, "{pad}  \"memo_probes_total\": {probes},");
-        for kind in [
-            PhaseKind::InitialRun,
-            PhaseKind::Propagate,
-            PhaseKind::Batch,
-            PhaseKind::Purge,
-            PhaseKind::DemandClean,
-        ] {
-            let (n, sum) = self.total(kind);
-            if n == 0
-                && matches!(
-                    kind,
-                    PhaseKind::Purge | PhaseKind::Batch | PhaseKind::DemandClean
-                )
-            {
-                continue;
-            }
-            let _ = writeln!(s, "{pad}  \"{}\": {{", kind.name());
-            let _ = writeln!(s, "{pad}    \"phases\": {n},");
-            let entries: Vec<String> = sum
-                .entries()
-                .map(|(k, v)| format!("{pad}    \"{k}\": {v}"))
-                .collect();
-            s.push_str(&entries.join(",\n"));
-            let _ = writeln!(s, "\n{pad}  }},");
-        }
-        let _ = writeln!(s, "{pad}  \"phase_list\": [");
-        for (i, p) in self.phases.iter().enumerate() {
-            let nz: Vec<String> = p
-                .counters
-                .entries()
-                .filter(|&(_, v)| v != 0)
-                .map(|(k, v)| format!("\"{k}\": {v}"))
-                .collect();
-            let _ = write!(
-                s,
-                "{pad}    {{\"phase\": \"{}#{}\", \"trace_len\": {}, \"live_bytes\": {}{}{}}}",
-                p.kind.name(),
-                p.seq,
-                p.trace_len,
-                p.live_bytes,
-                if nz.is_empty() { "" } else { ", " },
-                nz.join(", ")
-            );
-            s.push_str(if i + 1 < self.phases.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        let _ = writeln!(s, "{pad}  ]");
-        let _ = write!(s, "{pad}}}");
-        s
-    }
-
-    /// The flat `key → value` view used for golden-profile gating:
-    /// every key is `<name>/<section>/<counter>` and every value an
-    /// integer, so comparisons are exact and diffable per counter.
-    pub fn flat_counters(&self) -> Vec<(String, u64)> {
-        let mut out = Vec::new();
-        for kind in [
-            PhaseKind::InitialRun,
-            PhaseKind::Propagate,
-            PhaseKind::Batch,
-            PhaseKind::Purge,
-            PhaseKind::DemandClean,
-        ] {
-            let (n, sum) = self.total(kind);
-            if n == 0 {
-                continue;
-            }
-            out.push((format!("{}/{}/phases", self.name, kind.name()), n as u64));
-            for (k, v) in sum.entries() {
-                out.push((format!("{}/{}/{}", self.name, kind.name(), k), v));
-            }
-        }
-        out.push((format!("{}/final/trace_len", self.name), self.trace_len));
-        out.push((format!("{}/final/live_bytes", self.name), self.live_bytes));
-        out.push((
-            format!("{}/final/max_live_bytes", self.name),
-            self.max_live_bytes,
-        ));
-        out
-    }
-
-    /// A human-readable table of the profile: one row per counter,
-    /// one column per phase kind (aggregated), plus the gauges.
-    pub fn render_table(&self) -> String {
-        let mut s = String::new();
-        let (ni, init) = self.total(PhaseKind::InitialRun);
-        let (np, prop) = self.total(PhaseKind::Propagate);
-        let (nb, batch) = self.total(PhaseKind::Batch);
-        let (nu, purge) = self.total(PhaseKind::Purge);
-        let (nd, demand) = self.total(PhaseKind::DemandClean);
-        let _ = writeln!(s, "profile: {}", self.name);
-        let _ = writeln!(
-            s,
-            "  {:<24} {:>14} {:>14} {:>14} {:>14} {:>14}",
-            "counter",
-            format!("init({ni})"),
-            format!("propagate({np})"),
-            format!("batch({nb})"),
-            format!("purge({nu})"),
-            format!("demand({nd})")
-        );
-        for (i, (name, iv)) in init.entries().enumerate() {
-            let pv = prop.values()[i];
-            let bv = batch.values()[i];
-            let uv = purge.values()[i];
-            let dv = demand.values()[i];
-            if iv == 0 && pv == 0 && bv == 0 && uv == 0 && dv == 0 {
-                continue;
-            }
-            let _ = writeln!(
-                s,
-                "  {name:<24} {iv:>14} {pv:>14} {bv:>14} {uv:>14} {dv:>14}"
-            );
-        }
-        let _ = writeln!(s, "  {:<24} {:>14}", "trace_len (final)", self.trace_len);
-        let _ = writeln!(s, "  {:<24} {:>14}", "live_bytes (final)", self.live_bytes);
-        let _ = writeln!(s, "  {:<24} {:>14}", "max_live_bytes", self.max_live_bytes);
-        let (rr, n) = self.reads_per_update();
-        if n > 0 {
-            let _ = writeln!(
-                s,
-                "  {:<24} {:>14.2}",
-                "reads reexec / update",
-                rr as f64 / n as f64
-            );
-        }
-        let (hits, probes) = self.memo_hit_rate();
-        if probes > 0 {
-            let _ = writeln!(
-                s,
-                "  {:<24} {:>13.1}%",
-                "memo hit rate",
-                100.0 * hits as f64 / probes as f64
-            );
-        }
-        s
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_profile() -> Profile {
-        let c1 = OpCounters {
-            reads_created: 10,
-            writes_created: 4,
-            ..OpCounters::default()
-        };
-        let c2 = OpCounters {
-            reads_reexecuted: 3,
-            memo_hits: 2,
-            memo_misses: 2,
-            propagations: 1,
-            ..OpCounters::default()
-        };
-        Profile {
-            name: "sample".into(),
-            phases: vec![
-                Phase {
-                    kind: PhaseKind::InitialRun,
-                    seq: 0,
-                    counters: c1,
-                    trace_len: 30,
-                    live_bytes: 2_000,
-                },
-                Phase {
-                    kind: PhaseKind::Propagate,
-                    seq: 0,
-                    counters: c2,
-                    trace_len: 30,
-                    live_bytes: 2_000,
-                },
-                Phase {
-                    kind: PhaseKind::Propagate,
-                    seq: 1,
-                    counters: c2,
-                    trace_len: 30,
-                    live_bytes: 2_000,
-                },
-            ],
-            lifetime: {
-                let mut l = c1;
-                l.add(&c2);
-                l.add(&c2);
-                l
-            },
-            trace_len: 30,
-            live_bytes: 2_000,
-            max_live_bytes: 2_500,
-        }
-    }
-
-    #[test]
-    fn totals_and_rates() {
-        let p = sample_profile();
-        let (n, prop) = p.total(PhaseKind::Propagate);
-        assert_eq!(n, 2);
-        assert_eq!(prop.reads_reexecuted, 6);
-        assert_eq!(p.reads_per_update(), (6, 2));
-        assert_eq!(p.memo_hit_rate(), (4, 8));
-    }
-
-    #[test]
-    fn flat_counters_cover_phases_and_gauges() {
-        let p = sample_profile();
-        let flat = p.flat_counters();
-        let get = |k: &str| flat.iter().find(|(n, _)| n == k).map(|&(_, v)| v);
-        assert_eq!(get("sample/init/reads_created"), Some(10));
-        assert_eq!(get("sample/propagate/phases"), Some(2));
-        assert_eq!(get("sample/propagate/reads_reexecuted"), Some(6));
-        assert_eq!(get("sample/final/max_live_bytes"), Some(2_500));
-        // No purge phase recorded → no purge keys.
-        assert!(!flat.iter().any(|(n, _)| n.contains("/purge/")));
-    }
-
-    #[test]
-    fn json_report_is_well_formed_enough() {
-        let p = sample_profile();
-        let j = p.to_json(0);
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"name\": \"sample\""));
-        assert!(j.contains("\"propagate\""));
-        assert!(j.contains("\"phase\": \"propagate#1\""));
-        // Zero counters are dropped from phase rows.
-        assert!(!j.contains(
-            "\"phase\": \"init#0\", \"trace_len\": 30, \"live_bytes\": 2000, \"memo_hits\""
-        ));
-        let table = p.render_table();
-        assert!(table.contains("memo hit rate"));
-        assert!(table.contains("reads reexec / update"));
-    }
 
     #[test]
     fn counting_hook_tallies() {
