@@ -4,47 +4,66 @@
 use ceal_bench::{fmt_bytes, fmt_n, fmt_ratio, fmt_secs, profile, Opts};
 use ceal_suite::harness::Bench;
 
+/// The flags of `table1` and `table2`.
+const SIZES: &[&str] = &["n-big", "n-small", "edits", "seed"];
+/// The flags of `ablation` and `handopt`.
+const RUNS: &[&str] = &["n", "edits", "seed"];
+
 fn main() {
-    let (sub, opts) = Opts::from_env();
-    match sub.as_deref() {
-        Some("table1") => table1(&opts),
-        Some("table2") => table2(&opts),
-        Some("table3") => table3(&opts),
-        Some("fig14") => fig14(&opts),
-        Some("fig13") => fig13(&opts),
-        Some("fig15") => fig15(&opts),
-        Some("ablation") => ablation(&opts),
-        Some("handopt") => handopt(&opts),
-        Some("gate") => std::process::exit(profile::run_gate(&opts)),
-        Some("profile") => profile::run_profile(&opts),
-        Some("trace") => profile::run_trace(&opts),
-        Some("all") => {
-            table1(&opts);
-            table2(&opts);
-            table3(&opts);
-            fig13(&opts);
-            fig14(&opts);
-            fig15(&opts);
-            ablation(&opts);
-            handopt(&opts);
-        }
-        _ => {
-            eprintln!(
-                "usage: tables <table1|table2|table3|fig13|fig14|fig15|ablation|handopt|all> \
-                 [--n-big N] [--n-small N] [--edits N] [--seed N]\n\
-                 \x20      tables gate [--golden FILE]    diff the deterministic counters against \
-                 the golden profile\n\
-                 \x20                                     (UPDATE_GOLDEN=1 re-blesses it; exits 1 \
-                 on drift)\n\
-                 \x20      tables profile [--out FILE]    write per-phase counter profiles \
-                 (BENCH_profile.json)\n\
-                 \x20      tables trace [--out DIR]       write Perfetto timelines, per-site \
-                 attribution and stream digests\n\
-                 \x20                                     (trace-artifacts/)"
-            );
-            std::process::exit(2);
-        }
+    let mut args = std::env::args().skip(1);
+    let sub = args.next();
+    let rest: Vec<String> = args.collect();
+    // Each subcommand names the flags it reads; any other flag is an error.
+    let (flags, run): (&[&str], fn(&Opts)) = match sub.as_deref() {
+        Some("table1") => (SIZES, table1),
+        Some("table2") => (SIZES, table2),
+        Some("table3") => (&[], table3),
+        Some("fig14") => (&["edits", "seed"], fig14),
+        Some("fig13") => (&["edits", "seed", "max-n"], fig13),
+        Some("fig15") => (&[], fig15),
+        Some("ablation") => (RUNS, ablation),
+        Some("handopt") => (RUNS, handopt),
+        Some("gate") => (&["golden"], |o| std::process::exit(profile::run_gate(o))),
+        Some("profile") => (&["out"], profile::run_profile),
+        Some("trace") => (&["out"], profile::run_trace),
+        Some("all") => (&["n-big", "n-small", "edits", "seed", "max-n", "n"], |o| {
+            table1(o);
+            table2(o);
+            table3(o);
+            fig13(o);
+            fig14(o);
+            fig15(o);
+            ablation(o);
+            handopt(o);
+        }),
+        _ => usage(None),
+    };
+    match Opts::parse(&rest, flags) {
+        Ok(opts) => run(&opts),
+        Err(e) => usage(Some(&e)),
     }
+}
+
+fn usage(err: Option<&str>) -> ! {
+    if let Some(e) = err {
+        eprintln!("tables: {e}");
+    }
+    eprintln!(
+        "usage: tables <table1|table2|table3|fig13|fig14|fig15|ablation|handopt|all> [FLAGS]\n\
+         \x20        table1, table2: [--n-big N] [--n-small N] [--edits N] [--seed N]\n\
+         \x20        fig13: [--edits N] [--seed N] [--max-n N]    fig14: [--edits N] [--seed N]\n\
+         \x20        ablation, handopt: [--n N] [--edits N] [--seed N]    all: any of these\n\
+         \x20      tables gate [--golden FILE]    diff the deterministic counters against \
+         the golden profile\n\
+         \x20                                     (UPDATE_GOLDEN=1 re-blesses it; exits 1 \
+         on drift)\n\
+         \x20      tables profile [--out FILE]    write per-phase counter profiles \
+         (BENCH_profile.json)\n\
+         \x20      tables trace [--out DIR]       write Perfetto timelines, per-site \
+         attribution and stream digests\n\
+         \x20                                     (trace-artifacts/)"
+    );
+    std::process::exit(2);
 }
 
 /// Table 1: summary of measurements for all benchmarks.

@@ -60,17 +60,30 @@ pub fn fmt_n(n: usize) -> String {
     }
 }
 
-/// Minimal CLI option scanning: `--key value` pairs after a subcommand.
+/// `--name value` options after a subcommand, checked against the
+/// flags that subcommand reads.
 pub struct Opts {
-    args: Vec<String>,
+    pairs: Vec<(String, String)>,
 }
 
 impl Opts {
-    /// Parses `std::env::args` after the subcommand position.
-    pub fn from_env() -> (Option<String>, Opts) {
-        let mut it = std::env::args().skip(1);
-        let sub = it.next();
-        (sub, Opts { args: it.collect() })
+    /// Parses `--name value` pairs. Every name must be one of `known`
+    /// and carry a value; otherwise the error names the offending flag.
+    pub fn parse(args: &[String], known: &[&str]) -> Result<Opts, String> {
+        let mut pairs = Vec::new();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let name = arg
+                .strip_prefix("--")
+                .filter(|n| known.contains(n))
+                .ok_or_else(|| format!("unknown option `{arg}`"))?;
+            let value = it
+                .next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("option `{arg}` needs a value"))?;
+            pairs.push((name.to_string(), value.clone()));
+        }
+        Ok(Opts { pairs })
     }
 
     /// Integer option `--name v` with a default. Panics on a value that
@@ -82,19 +95,13 @@ impl Opts {
         })
     }
 
-    /// Raw option lookup.
+    /// Raw option lookup; the last occurrence wins.
     pub fn get(&self, name: &str) -> Option<&str> {
-        let key = format!("--{name}");
-        self.args
-            .windows(2)
-            .find(|w| w[0] == key)
-            .map(|w| w[1].as_str())
-    }
-
-    /// Presence of a bare flag.
-    pub fn has(&self, name: &str) -> bool {
-        let key = format!("--{name}");
-        self.args.iter().any(|a| a == &key)
+        self.pairs
+            .iter()
+            .rev()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v.as_str())
     }
 }
 
@@ -114,23 +121,29 @@ mod tests {
         assert_eq!(fmt_bytes(3_017_200_000), "3017.2M");
     }
 
+    fn args(a: &[&str]) -> Vec<String> {
+        a.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn opts_parse() {
-        let o = Opts {
-            args: vec!["--n".into(), "42".into(), "--quick".into()],
-        };
-        assert_eq!(o.get_usize("n", 7), 42);
+        let o = Opts::parse(&args(&["--n", "42", "--n", "43"]), &["n", "m"]).unwrap();
+        assert_eq!(o.get_usize("n", 7), 43);
         assert_eq!(o.get_usize("m", 7), 7);
-        assert!(o.has("quick"));
-        assert!(!o.has("slow"));
+        let unknown = Opts::parse(&args(&["--n", "1", "--quick", "1"]), &["n"]);
+        assert_eq!(unknown.err().unwrap(), "unknown option `--quick`");
+        let bare = Opts::parse(&args(&["5"]), &["n"]);
+        assert_eq!(bare.err().unwrap(), "unknown option `5`");
+        for missing in [&["--n"][..], &["--n", "--m", "1"]] {
+            let e = Opts::parse(&args(missing), &["n", "m"]).err().unwrap();
+            assert_eq!(e, "option `--n` needs a value");
+        }
     }
 
     #[test]
     #[should_panic(expected = "--edits: cannot parse `1k`")]
     fn opts_reject_unparsable_integers() {
-        let o = Opts {
-            args: vec!["--edits".into(), "1k".into()],
-        };
+        let o = Opts::parse(&args(&["--edits", "1k"]), &["edits"]).unwrap();
         o.get_usize("edits", 250);
     }
 }

@@ -1,6 +1,7 @@
 //! The `tables` command line: the usage text lists every subcommand
 //! that `main` dispatches, and unknown subcommands (including the
-//! removed `bench`) exit with code 2.
+//! removed `bench`), unknown flags and flags without a value exit with
+//! code 2.
 
 use std::process::Command;
 
@@ -42,4 +43,40 @@ fn removed_bench_subcommand_is_rejected() {
     let out = tables(&["bench", "--gate"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage:"));
+}
+
+/// Runs `tables` in a fresh temporary directory, so a subcommand that
+/// wrongly runs cannot write its report into the source tree.
+fn tables_in_temp_dir(name: &str, args: &[&str]) -> (std::process::Output, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("tables-cli-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_tables"))
+        .args(args)
+        .current_dir(&dir)
+        .output()
+        .expect("run tables");
+    (out, dir)
+}
+
+#[test]
+fn flag_without_value_is_rejected() {
+    let (out, dir) = tables_in_temp_dir("novalue", &["gate", "--golden"]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("`--golden` needs a value"), "{err}");
+}
+
+#[test]
+fn unknown_flag_is_rejected_before_any_work() {
+    let (out, dir) = tables_in_temp_dir("unknown", &["profile", "--profile-out", "x.json"]);
+    let wrote: Vec<_> = std::fs::read_dir(&dir)
+        .expect("read temp dir")
+        .map(|e| e.expect("dir entry").file_name())
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown option `--profile-out`"), "{err}");
+    assert!(wrote.is_empty(), "profile wrote {wrote:?}");
 }

@@ -303,7 +303,7 @@ fn main() -> ExitCode {
         }
         if args.iter().any(|a| a == "--batch") && !edits.is_empty() {
             // All edits staged in one transaction: coalesced, one pass.
-            let before = e.stats().reads_reexecuted;
+            let before = e.stats().ops.reads_reexecuted;
             let mut batch = e.batch();
             for &(i, v) in &edits {
                 batch.modify(in_mods[i], Value::Int(v));
@@ -315,26 +315,26 @@ fn main() -> ExitCode {
             println!(
                 "after batch of {}: {val} ({} reads re-executed)",
                 edits.len(),
-                e.stats().reads_reexecuted - before
+                e.stats().ops.reads_reexecuted - before
             );
         } else {
             for (i, v) in edits {
-                let before = e.stats().reads_reexecuted;
+                let before = e.stats().ops.reads_reexecuted;
                 let mut batch = e.batch();
                 batch.modify(in_mods[i], Value::Int(v));
                 batch.commit();
                 let val = e.observe(res);
                 println!(
                     "after in[{i}] := {v}: {val} ({} reads re-executed)",
-                    e.stats().reads_reexecuted - before
+                    e.stats().ops.reads_reexecuted - before
                 );
             }
         }
         if demand {
             println!(
                 "demand policy: {} dirty marks, {} demand-clean passes",
-                e.stats().dirty_marks,
-                e.stats().demand_cleans
+                e.stats().ops.dirty_marks,
+                e.stats().ops.demand_cleans
             );
         }
         if let (Some(dir), Some(rec)) = (&trace_dir, &recorder) {

@@ -16,9 +16,9 @@ use std::sync::Arc;
 
 use ceal_ir::cl::{Atom, Block, Cmd, Expr, Func, FuncRef, Jump, Prim, Program, Var};
 use ceal_ir::sites::{SiteAssignment, SiteKind as IrSiteKind};
-use ceal_runtime::api::RegionCx;
 use ceal_runtime::program::{OpaqueFn, ProgramBuilder, SiteKind, SiteTable, Tail};
 use ceal_runtime::value::{FuncId, SiteId, Value};
+use ceal_runtime::RegionCx;
 
 struct Shared {
     funcs: Vec<Func>,
@@ -269,7 +269,7 @@ mod tests {
     use super::*;
     use ceal_compiler::pipeline::compile;
     use ceal_lang::frontend;
-    use ceal_runtime::api::{Engine, ModRef};
+    use ceal_runtime::{Engine, ModRef};
 
     fn session(src: &str) -> (Engine, FuncId, Vec<ModRef>) {
         let (cl, _) = frontend(src).expect("frontend");

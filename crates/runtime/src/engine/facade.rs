@@ -43,7 +43,7 @@ use crate::value::{FuncId, Interner, Loc, ModRef, StrId, Value};
 /// # Examples
 ///
 /// ```
-/// use ceal_runtime::api::{Engine, ProgramBuilder, Tail, Value};
+/// use ceal_runtime::{Engine, ProgramBuilder, Tail, Value};
 ///
 /// // Core: copy the input modifiable into the output modifiable.
 /// let mut b = ProgramBuilder::new();
@@ -134,7 +134,7 @@ impl Engine {
     /// counter deltas as one combined pass — the determinism rule the
     /// future parallel scheduler builds on (DESIGN.md §16).
     pub fn lease_region(&mut self) -> RegionCx<'_> {
-        let baseline = OpCounters::from_stats(&self.state.stats);
+        let baseline = self.state.stats.ops;
         RegionCx::new(&self.core, &mut self.state, baseline)
     }
 

@@ -515,7 +515,7 @@ impl RegionState {
             });
         }
         if let Some(p) = &mut self.profiler {
-            let snap = OpCounters::from_stats(&self.stats);
+            let snap = self.stats.ops;
             let trace_len = self.live_slots as u64;
             let live_bytes = self.stats.live_bytes as u64;
             p.end(snap, trace_len, live_bytes);
@@ -528,10 +528,10 @@ impl RegionState {
     /// reflects the timestamp list's maintenance work.
     fn sync_order_stats(&mut self) {
         let os = self.ord.stats();
-        self.stats.order_group_relabels = os.group_relabels;
-        self.stats.order_local_renumbers = os.local_renumbers;
-        self.stats.order_group_splits = os.group_splits;
-        self.stats.order_group_merges = os.group_merges;
+        self.stats.ops.order_group_relabels = os.group_relabels;
+        self.stats.ops.order_local_renumbers = os.local_renumbers;
+        self.stats.ops.order_group_splits = os.group_splits;
+        self.stats.ops.order_group_merges = os.group_merges;
     }
 
     // ------------------------------------------------------------------
@@ -671,7 +671,7 @@ impl RegionState {
             self.span_of.resize(b.index() + 1, SPAN_NONE);
         }
         self.span_of[b.index()] = si;
-        self.stats.trace_intervals += 1;
+        self.stats.ops.trace_intervals += 1;
         self.stats
             .grow_interval(cost::TIME_NODE + cost::SPAN_HEADER);
         b
@@ -710,7 +710,7 @@ impl RegionState {
             return;
         }
         let b = self.new_boundary_after(a);
-        self.stats.interval_splits += 1;
+        self.stats.ops.interval_splits += 1;
         let bi = self.span_of[b.index()] as usize;
         for s in movers {
             if slot_tag(s) == TAG_TOMB {
@@ -751,7 +751,7 @@ impl RegionState {
             }
             _ => self.new_boundary_after(prev),
         };
-        self.stats.interval_splits += 1;
+        self.stats.ops.interval_splits += 1;
         let bi = self.span_of[target.index()] as usize;
         for k in self.spans[si].head as usize..at {
             let s = self.spans[si].slots[k];
@@ -1155,7 +1155,7 @@ impl RegionState {
         if self.reads[r as usize].queued {
             return;
         }
-        self.stats.queue_pushes += 1;
+        self.stats.ops.queue_pushes += 1;
         self.reads[r as usize].queued = true;
         self.queue.push(r);
         self.sift_up(self.queue.len() - 1);
@@ -1169,7 +1169,7 @@ impl RegionState {
             let last = self.queue.len() - 1;
             self.queue.swap(0, last);
             let r = self.queue.pop().expect("queue non-empty");
-            self.stats.queue_pops += 1;
+            self.stats.ops.queue_pops += 1;
             if !self.queue.is_empty() {
                 self.sift_down(0);
             }
@@ -1803,7 +1803,7 @@ impl<'a> RegionCx<'a> {
     /// deterministically by addition ([`OpCounters::add`]) — the merge
     /// rule the future parallel scheduler relies on (DESIGN.md §16).
     pub fn counters_delta(&self) -> OpCounters {
-        OpCounters::from_stats(&self.state.stats).delta(&self.baseline)
+        self.state.stats.ops.delta(&self.baseline)
     }
 
     /// Compares two interned strings by content (read-only access to
@@ -1837,7 +1837,7 @@ impl<'a> RegionCx<'a> {
     /// propagation pass over the whole dirty set, reusing the same
     /// trace-order loop as [`Engine::propagate`](super::Engine::propagate) — and then reads the
     /// (now consistent) value. The pass is counted in
-    /// [`Stats::demand_cleans`](crate::stats::Stats::demand_cleans) and
+    /// [`OpCounters::demand_cleans`](crate::stats::OpCounters::demand_cleans) and
     /// recorded as a [`PhaseKind::DemandClean`] profile phase. An
     /// observation with no pending dirt is exactly a [`Engine::deref`](super::Engine::deref):
     /// no phase, no counters.
@@ -1857,7 +1857,7 @@ impl<'a> RegionCx<'a> {
             && !self.queue.is_empty()
         {
             let order_base = self.begin_phase(PhaseKind::DemandClean);
-            self.stats.demand_cleans += 1;
+            self.stats.ops.demand_cleans += 1;
             self.propagate_loop();
             self.finish_phase(PhaseKind::DemandClean, order_base);
         }
@@ -1900,7 +1900,7 @@ impl<'a> RegionCx<'a> {
                 // already-queued read is not re-marked — so
                 // `dirty_marks` counts distinct dirty transitions.
                 if demand && !self.reads[r as usize].queued {
-                    self.stats.dirty_marks += 1;
+                    self.stats.ops.dirty_marks += 1;
                 }
                 self.queue_push(r);
             } else if governed {
@@ -1958,7 +1958,7 @@ impl<'a> RegionCx<'a> {
     pub fn propagate(&mut self) {
         assert!(self.core_ran, "propagate before run_core");
         let order_base = self.begin_phase(PhaseKind::Propagate);
-        self.stats.propagations += 1;
+        self.stats.ops.propagations += 1;
         self.propagate_loop();
         self.finish_phase(PhaseKind::Propagate, order_base);
     }
@@ -1981,7 +1981,7 @@ impl<'a> RegionCx<'a> {
             let (m, start) = (rd.modref, rd.start);
             let v = self.value_at(m, start);
             if v == self.reads[r as usize].last_value {
-                self.stats.reads_skipped += 1;
+                self.stats.ops.reads_skipped += 1;
                 continue;
             }
             self.re_execute(r, v);
@@ -2013,10 +2013,10 @@ impl<'a> RegionCx<'a> {
             return;
         }
         let order_base = self.begin_phase(PhaseKind::Batch);
-        self.stats.batch_commits += 1;
+        self.stats.ops.batch_commits += 1;
         for &(m, v) in writes {
             if self.apply_modify(m, v) {
-                self.stats.batch_writes += 1;
+                self.stats.ops.batch_writes += 1;
             }
         }
         // Under the demand policy a commit only coalesces and stages
@@ -2030,7 +2030,7 @@ impl<'a> RegionCx<'a> {
         if self.core_ran {
             let defer = self.core.config.policy == PropagationPolicy::Demand && kills.is_empty();
             if !defer {
-                self.stats.propagations += 1;
+                self.stats.ops.propagations += 1;
                 self.propagate_loop();
             }
         }
@@ -2119,7 +2119,7 @@ impl<'a> RegionCx<'a> {
         node.value = v;
         node.pos = p;
         node.live = true;
-        self.stats.writes_created += 1;
+        self.stats.ops.writes_created += 1;
         self.stats.grow(cost::WRITE_NODE);
         self.link_write_after(m, idx, after);
         self.heap.meta_mut(m).cache_write = idx;
@@ -2259,7 +2259,7 @@ impl<'a> RegionCx<'a> {
         node.pos = p;
         node.live = true;
         node.site = site;
-        self.stats.allocs_created += 1;
+        self.stats.ops.allocs_created += 1;
         self.stats
             .grow(cost::ALLOC_NODE + args.len() * cost::ARG_WORD);
         Bucket::add(
@@ -2412,7 +2412,7 @@ impl<'a> RegionCx<'a> {
                             self.splice_to(hit, site);
                             break;
                         }
-                        self.stats.memo_misses += 1;
+                        self.stats.ops.memo_misses += 1;
                         self.emit(Event::MemoMiss { site });
                         pre = Some((v, key_hash));
                     }
@@ -2480,7 +2480,7 @@ impl<'a> RegionCx<'a> {
         node.queued = false;
         node.live = true;
         node.site = site;
-        self.stats.reads_created += 1;
+        self.stats.ops.reads_created += 1;
         self.stats.grow(cost::READ_NODE + arg_bytes);
         self.link_reader_sorted(m, idx);
         Bucket::add(
@@ -2551,7 +2551,7 @@ impl<'a> RegionCx<'a> {
                 self.ord.label(self.cur.anchor)
             );
         }
-        self.stats.memo_hits += 1;
+        self.stats.ops.memo_hits += 1;
         self.emit(Event::MemoHit { read: hit, site });
         let start = self.reads[hit as usize].start;
         let old_anchor = self.cur.anchor;
@@ -2588,7 +2588,7 @@ impl<'a> RegionCx<'a> {
             key_hash,
             r,
         );
-        self.stats.reads_reexecuted += 1;
+        self.stats.ops.reads_reexecuted += 1;
         let site = self.reads[r as usize].site;
         self.emit(Event::ReadReexecuted { read: r, site });
 
@@ -2669,7 +2669,7 @@ impl<'a> RegionCx<'a> {
                 self.ord.label(self.cur.anchor)
             );
         }
-        self.stats.allocs_stolen += 1;
+        self.stats.ops.allocs_stolen += 1;
         self.emit(Event::AllocStolen { alloc: idx, site });
         self.allocs[idx as usize].site = site;
         let p = self.allocs[idx as usize].pos;
@@ -2772,7 +2772,7 @@ impl<'a> RegionCx<'a> {
             }
             _ => unreachable!("invalid slot tag"),
         }
-        self.stats.nodes_purged += 1;
+        self.stats.ops.nodes_purged += 1;
         // Record fields survive the purge (record slots are recycled,
         // not cleared), so the site is still readable here.
         let site = match tag {
@@ -2863,7 +2863,7 @@ impl<'a> RegionCx<'a> {
         Bucket::remove(&mut self.state.alloc_table, &mut self.state.spill, key, a);
         self.free_allocs.push(a);
         self.stats.shrink(bytes);
-        self.stats.blocks_collected += 1;
+        self.stats.ops.blocks_collected += 1;
         self.pending_free.push(loc);
     }
 

@@ -44,7 +44,6 @@
 
 #![warn(missing_docs)]
 
-pub mod api;
 pub mod batch;
 pub mod engine;
 pub mod error;
@@ -53,9 +52,7 @@ pub mod obs;
 pub mod order;
 pub mod prng;
 pub mod program;
-pub mod snapshot;
 pub mod stats;
-pub mod telemetry;
 pub mod value;
 
 pub use batch::{EditBatch, Mutator};
@@ -66,11 +63,7 @@ pub use error::CealError;
 pub use obs::{Attribution, SiteRow, TraceRecorder};
 pub use obs::{Event, EventHook, PhaseCost, PhaseKind, Profile, SiteTally, TraceKind};
 pub use program::{NativeFn, OpaqueFn, Program, ProgramBuilder, Site, SiteKind, SiteTable, Tail};
-pub use snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 pub use stats::{OpCounters, Stats};
-pub use telemetry::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry, SlowRequestRecord,
-};
 pub use value::{FuncId, Interner, Loc, ModRef, SiteId, StrId, Value};
 
 /// Convenient glob-import of the commonly used types.

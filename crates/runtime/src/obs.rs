@@ -183,47 +183,6 @@ pub trait EventHook: Send {
     fn on_event(&mut self, ev: Event);
 }
 
-/// An [`EventHook`] that tallies events into public counters — the
-/// simplest useful hook, and the one the runtime's own tests use to
-/// check hook placement against the lifetime [`Stats`](crate::stats::Stats).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CountingHook {
-    /// `ReadReexecuted` events seen.
-    pub reads_reexecuted: u64,
-    /// `MemoHit` events seen.
-    pub memo_hits: u64,
-    /// `MemoMiss` events seen.
-    pub memo_misses: u64,
-    /// `AllocStolen` events seen.
-    pub allocs_stolen: u64,
-    /// `TraceCreated` events seen.
-    pub trace_created: u64,
-    /// `TracePurged` events seen.
-    pub trace_purged: u64,
-    /// Sum of all `OrderMaintenance` deltas seen.
-    pub order_ops: u64,
-}
-
-impl EventHook for CountingHook {
-    fn on_event(&mut self, ev: Event) {
-        match ev {
-            Event::ReadReexecuted { .. } => self.reads_reexecuted += 1,
-            Event::MemoHit { .. } => self.memo_hits += 1,
-            Event::MemoMiss { .. } => self.memo_misses += 1,
-            Event::AllocStolen { .. } => self.allocs_stolen += 1,
-            Event::TraceCreated { .. } => self.trace_created += 1,
-            Event::TracePurged { .. } => self.trace_purged += 1,
-            Event::PhaseBegin { .. } | Event::PhaseEnd { .. } => {}
-            Event::OrderMaintenance {
-                relabels,
-                renumbers,
-                splits,
-                merges,
-            } => self.order_ops += relabels + renumbers + splits + merges,
-        }
-    }
-}
-
 /// What a profiled phase was.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PhaseKind {
@@ -364,8 +323,8 @@ impl Profiler {
 }
 
 /// Forwarding impl so several owners can share one hook state
-/// (`Arc<Mutex<CountingHook>>` is the common test pattern: keep a
-/// clone, install the other in the engine). The mutex is uncontended in
+/// (`Arc<Mutex<H>>` is the common test pattern: keep a clone, install
+/// the other in the engine). The mutex is uncontended in
 /// today's single-region engine; it exists so hook state stays `Send`
 /// across the region seam.
 impl<H: EventHook> EventHook for std::sync::Arc<std::sync::Mutex<H>> {
@@ -812,7 +771,7 @@ impl Attribution {
 
 /// The aggregate cost of the phases of one kind within a profiled
 /// window — the compact per-request form of [`Phase`] that goes into
-/// [`crate::telemetry::SlowRequestRecord`] (DESIGN.md §17). Where
+/// the service's `SlowRequestRecord` (DESIGN.md §17). Where
 /// [`Profile`] keeps every phase with its full [`OpCounters`], a slow
 /// log line wants one row per phase kind with the three counters that
 /// explain propagation time.
@@ -972,36 +931,5 @@ impl Profile {
             }
         }
         (n, sum)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counting_hook_tallies() {
-        let mut h = CountingHook::default();
-        h.on_event(Event::MemoHit {
-            read: 1,
-            site: SiteId::NONE,
-        });
-        h.on_event(Event::MemoMiss { site: SiteId(3) });
-        h.on_event(Event::TraceCreated {
-            kind: TraceKind::Read,
-            index: 1,
-            site: SiteId(3),
-            interval: 0,
-        });
-        h.on_event(Event::OrderMaintenance {
-            relabels: 1,
-            renumbers: 2,
-            splits: 0,
-            merges: 0,
-        });
-        assert_eq!(h.memo_hits, 1);
-        assert_eq!(h.memo_misses, 1);
-        assert_eq!(h.trace_created, 1);
-        assert_eq!(h.order_ops, 3);
     }
 }

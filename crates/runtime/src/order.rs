@@ -34,12 +34,10 @@
 //! so structures that only rely on comparisons (e.g. the propagation
 //! priority queue) remain consistent across relabelings.
 //!
-//! The previous single-level implementation is preserved as
-//! [`naive`] and serves as the oracle for differential tests.
+//! The previous single-level implementation is preserved, as the
+//! oracle for differential tests, in `crates/runtime/tests/naive/`.
 
 use std::cmp::Ordering;
-
-pub mod naive;
 
 /// A timestamp: a handle into an [`OrderList`].
 ///

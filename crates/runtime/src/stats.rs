@@ -45,11 +45,39 @@ pub mod cost {
 
 /// Counters exposed by [`crate::engine::Engine::stats`].
 ///
-/// All counters are cumulative over the engine's lifetime except
-/// `live_bytes`, which tracks the current footprint, and
-/// `max_live_bytes`, its high-water mark.
+/// The operation counters live in [`Stats::ops`]; the remaining fields
+/// are the simulated-GC tallies and the byte accounting. All counters
+/// are cumulative over the engine's lifetime except `live_bytes`, which
+/// tracks the current footprint, and `interval_bytes`, its interval
+/// share; `max_live_bytes` is the high-water mark of `live_bytes`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Stats {
+    /// The deterministic operation counters.
+    pub ops: OpCounters,
+    /// Simulated-GC runs (SML simulation only).
+    pub gc_runs: u64,
+    /// Total objects marked by the simulated GC.
+    pub gc_marked: u64,
+    /// Current accounted footprint in bytes.
+    pub live_bytes: usize,
+    /// High-water mark of `live_bytes`.
+    pub max_live_bytes: usize,
+    /// The portion of `live_bytes` spent on the interval structure
+    /// itself: boundary timestamps, span headers and live span slots.
+    pub interval_bytes: usize,
+}
+
+/// The deterministic operation counters of an engine, held in
+/// [`Stats::ops`]: everything except the byte-accounting fields, whose
+/// values depend on argument-vector sizes and are therefore excluded
+/// from cross-executor comparisons (see `crates/diffcheck`).
+///
+/// For a fixed program, input seed and edit script these counters are
+/// bit-for-bit reproducible across runs and machines, which is what
+/// makes them suitable for CI gating where wall-clock time is not
+/// (DESIGN.md §10). `Copy`, so a snapshot is `e.stats().ops`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OpCounters {
     /// Read trace nodes created (initial run + re-executions).
     pub reads_created: u64,
     /// Write trace nodes created.
@@ -103,17 +131,6 @@ pub struct Stats {
     /// [`Engine::observe`](crate::engine::Engine::observe) finding
     /// pending dirty marks. Always zero under the eager policy.
     pub demand_cleans: u64,
-    /// Simulated-GC runs (SML simulation only).
-    pub gc_runs: u64,
-    /// Total objects marked by the simulated GC.
-    pub gc_marked: u64,
-    /// Current accounted footprint in bytes.
-    pub live_bytes: usize,
-    /// High-water mark of `live_bytes`.
-    pub max_live_bytes: usize,
-    /// The portion of `live_bytes` spent on the interval structure
-    /// itself: boundary timestamps, span headers and live span slots.
-    pub interval_bytes: usize,
     /// Order maintenance: top-level group relabel passes.
     pub order_group_relabels: u64,
     /// Order maintenance: within-group label renumber passes.
@@ -121,65 +138,6 @@ pub struct Stats {
     /// Order maintenance: group splits (full group at insertion point).
     pub order_group_splits: u64,
     /// Order maintenance: sparse-group merges on deletion.
-    pub order_group_merges: u64,
-}
-
-/// A point-in-time snapshot of the *deterministic operation counters*
-/// of [`Stats`] — everything except the byte-accounting fields, whose
-/// values depend on argument-vector sizes and are therefore excluded
-/// from cross-executor comparisons (see `crates/diffcheck`).
-///
-/// For a fixed program, input seed and edit script these counters are
-/// bit-for-bit reproducible across runs and machines, which is what
-/// makes them suitable for CI gating where wall-clock time is not
-/// (DESIGN.md §10).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OpCounters {
-    /// Mirrors [`Stats::reads_created`].
-    pub reads_created: u64,
-    /// Mirrors [`Stats::writes_created`].
-    pub writes_created: u64,
-    /// Mirrors [`Stats::allocs_created`].
-    pub allocs_created: u64,
-    /// Mirrors [`Stats::allocs_stolen`].
-    pub allocs_stolen: u64,
-    /// Mirrors [`Stats::memo_hits`].
-    pub memo_hits: u64,
-    /// Mirrors [`Stats::memo_misses`].
-    pub memo_misses: u64,
-    /// Mirrors [`Stats::reads_reexecuted`].
-    pub reads_reexecuted: u64,
-    /// Mirrors [`Stats::reads_skipped`].
-    pub reads_skipped: u64,
-    /// Mirrors [`Stats::nodes_purged`].
-    pub nodes_purged: u64,
-    /// Mirrors [`Stats::blocks_collected`].
-    pub blocks_collected: u64,
-    /// Mirrors [`Stats::trace_intervals`].
-    pub trace_intervals: u64,
-    /// Mirrors [`Stats::interval_splits`].
-    pub interval_splits: u64,
-    /// Mirrors [`Stats::propagations`].
-    pub propagations: u64,
-    /// Mirrors [`Stats::queue_pushes`].
-    pub queue_pushes: u64,
-    /// Mirrors [`Stats::queue_pops`].
-    pub queue_pops: u64,
-    /// Mirrors [`Stats::batch_commits`].
-    pub batch_commits: u64,
-    /// Mirrors [`Stats::batch_writes`].
-    pub batch_writes: u64,
-    /// Mirrors [`Stats::dirty_marks`].
-    pub dirty_marks: u64,
-    /// Mirrors [`Stats::demand_cleans`].
-    pub demand_cleans: u64,
-    /// Mirrors [`Stats::order_group_relabels`].
-    pub order_group_relabels: u64,
-    /// Mirrors [`Stats::order_local_renumbers`].
-    pub order_local_renumbers: u64,
-    /// Mirrors [`Stats::order_group_splits`].
-    pub order_group_splits: u64,
-    /// Mirrors [`Stats::order_group_merges`].
     pub order_group_merges: u64,
 }
 
@@ -210,35 +168,6 @@ impl OpCounters {
         "order_group_splits",
         "order_group_merges",
     ];
-
-    /// Snapshots the operation counters of `s`.
-    pub fn from_stats(s: &Stats) -> OpCounters {
-        OpCounters {
-            reads_created: s.reads_created,
-            writes_created: s.writes_created,
-            allocs_created: s.allocs_created,
-            allocs_stolen: s.allocs_stolen,
-            memo_hits: s.memo_hits,
-            memo_misses: s.memo_misses,
-            reads_reexecuted: s.reads_reexecuted,
-            reads_skipped: s.reads_skipped,
-            nodes_purged: s.nodes_purged,
-            blocks_collected: s.blocks_collected,
-            trace_intervals: s.trace_intervals,
-            interval_splits: s.interval_splits,
-            propagations: s.propagations,
-            queue_pushes: s.queue_pushes,
-            queue_pops: s.queue_pops,
-            batch_commits: s.batch_commits,
-            batch_writes: s.batch_writes,
-            dirty_marks: s.dirty_marks,
-            demand_cleans: s.demand_cleans,
-            order_group_relabels: s.order_group_relabels,
-            order_local_renumbers: s.order_local_renumbers,
-            order_group_splits: s.order_group_splits,
-            order_group_merges: s.order_group_merges,
-        }
-    }
 
     /// Counter values, in the order of [`OpCounters::NAMES`].
     pub fn values(&self) -> [u64; 23] {
@@ -333,10 +262,9 @@ impl OpCounters {
 }
 
 impl Stats {
-    /// Snapshot of the deterministic operation counters (everything
-    /// except byte accounting); see [`OpCounters`].
+    /// Returns [`Stats::ops`]; kept for `crates/benchmark`, which calls it.
     pub fn op_counters(&self) -> OpCounters {
-        OpCounters::from_stats(self)
+        self.ops
     }
 
     /// Adds `n` bytes to the live footprint, updating the high-water mark.
@@ -384,16 +312,14 @@ mod tests {
 
     #[test]
     fn op_counter_snapshot_delta_and_sum() {
-        let mut s = Stats {
-            reads_created: 10,
-            memo_hits: 3,
-            order_group_splits: 2,
-            ..Stats::default()
-        };
+        let mut s = Stats::default();
+        s.ops.reads_created = 10;
+        s.ops.memo_hits = 3;
+        s.ops.order_group_splits = 2;
         let early = s.op_counters();
-        s.reads_created = 25;
-        s.memo_hits = 3;
-        s.reads_reexecuted = 7;
+        s.ops.reads_created = 25;
+        s.ops.memo_hits = 3;
+        s.ops.reads_reexecuted = 7;
         let late = s.op_counters();
         let d = late.delta(&early);
         assert_eq!(d.reads_created, 15);

@@ -215,9 +215,9 @@ fn commit_equals_sequential_on_lists() {
     eb.check_invariants();
 
     // The batched route needs only one propagation pass for the lot.
-    assert_eq!(eb.stats().propagations, 1, "one pass per commit");
+    assert_eq!(eb.stats().ops.propagations, 1, "one pass per commit");
     assert_eq!(
-        ea.stats().propagations as usize,
+        ea.stats().ops.propagations as usize,
         victims.len(),
         "sequential route pays one pass per edit"
     );
@@ -337,7 +337,7 @@ fn commit_equals_sequential_on_exptrees() {
             }
         }
         e.check_invariants();
-        (e.deref(result).int(), e.stats().propagations)
+        (e.deref(result).int(), e.stats().ops.propagations)
     };
     let (seq_val, seq_props) = run(false);
     let (bat_val, bat_props) = run(true);

@@ -44,13 +44,13 @@ fn marking_is_idempotent() {
     assert_eq!(e.policy(), PropagationPolicy::Demand);
     let out = *chain.last().unwrap();
 
-    assert_eq!(e.stats().dirty_marks, 0);
+    assert_eq!(e.stats().ops.dirty_marks, 0);
     e.modify(chain[0], Value::Int(10));
-    assert_eq!(e.stats().dirty_marks, 1, "first write marks the reader");
+    assert_eq!(e.stats().ops.dirty_marks, 1, "first write marks the reader");
     e.modify(chain[0], Value::Int(20));
     e.modify(chain[0], Value::Int(30));
     assert_eq!(
-        e.stats().dirty_marks,
+        e.stats().ops.dirty_marks,
         1,
         "re-marking a dirty read must not count"
     );
@@ -58,7 +58,7 @@ fn marking_is_idempotent() {
     assert_eq!(e.observe(out), Value::Int(30));
     e.modify(chain[0], Value::Int(40));
     assert_eq!(
-        e.stats().dirty_marks,
+        e.stats().ops.dirty_marks,
         2,
         "after a clean the next write is a fresh transition"
     );
@@ -74,8 +74,8 @@ fn marking_is_idempotent() {
     let (mut e, chain) = chain_session(4, PropagationPolicy::Eager);
     e.modify(chain[0], Value::Int(7));
     e.propagate();
-    assert_eq!(e.stats().dirty_marks, 0);
-    assert_eq!(e.stats().demand_cleans, 0);
+    assert_eq!(e.stats().ops.dirty_marks, 0);
+    assert_eq!(e.stats().ops.demand_cleans, 0);
 }
 
 /// Unobserved dirty reads stay dirty across rounds: no re-execution
@@ -140,7 +140,11 @@ fn clear_core_resets_dirty_state() {
     let out = *chain.last().unwrap();
 
     e.modify(chain[0], Value::Int(9));
-    assert_eq!(e.stats().dirty_marks, 1, "mark pending before the purge");
+    assert_eq!(
+        e.stats().ops.dirty_marks,
+        1,
+        "mark pending before the purge"
+    );
     e.clear_core();
 
     // The dirty set is gone: observing triggers no pass and sees the

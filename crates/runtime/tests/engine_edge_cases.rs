@@ -104,10 +104,10 @@ fn modify_to_same_value_is_free() {
     let (i, o) = (e.meta_modref(), e.meta_modref());
     e.modify(i, Value::Int(5));
     e.run_core(copy, &[Value::ModRef(i), Value::ModRef(o)]);
-    let before = e.stats().reads_reexecuted;
+    let before = e.stats().ops.reads_reexecuted;
     e.modify(i, Value::Int(5)); // unchanged
     e.propagate();
-    assert_eq!(e.stats().reads_reexecuted, before);
+    assert_eq!(e.stats().ops.reads_reexecuted, before);
 }
 
 #[test]
@@ -117,14 +117,14 @@ fn restored_value_before_propagate_skips_work() {
     let (i, o) = (e.meta_modref(), e.meta_modref());
     e.modify(i, Value::Int(5));
     e.run_core(copy, &[Value::ModRef(i), Value::ModRef(o)]);
-    let before = e.stats().reads_reexecuted;
+    let before = e.stats().ops.reads_reexecuted;
     // Change and change back before propagating: the pop-time value
     // check skips the re-execution.
     e.modify(i, Value::Int(9));
     e.modify(i, Value::Int(5));
     e.propagate();
-    assert_eq!(e.stats().reads_reexecuted, before);
-    assert!(e.stats().reads_skipped >= 1);
+    assert_eq!(e.stats().ops.reads_reexecuted, before);
+    assert!(e.stats().ops.reads_skipped >= 1);
     assert_eq!(e.deref(o), Value::Int(5));
 }
 
@@ -186,7 +186,7 @@ fn batch_modifications_propagate_once() {
     e.modify(bb, Value::Int(20));
     e.propagate();
     assert_eq!(e.deref(o), Value::Int(30));
-    assert_eq!(e.stats().propagations, 1);
+    assert_eq!(e.stats().ops.propagations, 1);
 }
 
 #[test]
@@ -221,7 +221,7 @@ fn trivial_core_is_fine() {
     e.run_core(noop, &[]);
     e.propagate();
     e.check_invariants();
-    assert_eq!(e.stats().reads_created, 0);
+    assert_eq!(e.stats().ops.reads_created, 0);
 }
 
 /// Reading an unwritten modifiable yields Nil (C's uninitialized

@@ -156,13 +156,13 @@ fn leaf_change_reexecutes_a_path() {
     e.run_core(eval, &[Value::ModRef(root), Value::ModRef(result)]);
     assert_eq!(e.deref(result), Value::Int(1 << depth));
 
-    let before = e.stats().reads_reexecuted;
+    let before = e.stats().ops.reads_reexecuted;
     // Replace one leaf by a 41-leaf.
     let new_leaf = TreeBuilder::leaf(&mut e, 41);
     e.modify(leaf_slots[0], new_leaf);
     e.propagate();
     assert_eq!(e.deref(result), Value::Int((1 << depth) + 40));
-    let reexecs = e.stats().reads_reexecuted - before;
+    let reexecs = e.stats().ops.reads_reexecuted - before;
     assert!(
         reexecs <= 4 * depth as u64,
         "expected O(depth) re-executions, got {reexecs} for depth {depth}"

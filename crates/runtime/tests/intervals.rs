@@ -42,7 +42,7 @@ fn propagation_keeps_spans_consistent_and_coalesced() {
     let (mut e, chain) = build_chain(64);
     e.check_invariants();
 
-    let splits_before = e.stats().interval_splits;
+    let splits_before = e.stats().ops.interval_splits;
     for k in 1..=40i64 {
         e.modify(chain[0], Value::Int(k));
         e.propagate();
@@ -56,7 +56,7 @@ fn propagation_keeps_spans_consistent_and_coalesced() {
         );
     }
     assert!(
-        e.stats().interval_splits > splits_before,
+        e.stats().ops.interval_splits > splits_before,
         "cascade exercised no interval splits"
     );
     // 64 windows × (read start, write, read end) = 192 live slots.
@@ -101,9 +101,9 @@ fn mid_interval_write_splits_and_localizes() {
     }
     e.check_invariants();
 
-    let created_before = e.stats().writes_created;
-    let splits_before = e.stats().interval_splits;
-    let reexec_before = e.stats().reads_reexecuted;
+    let created_before = e.stats().ops.writes_created;
+    let splits_before = e.stats().ops.interval_splits;
+    let reexec_before = e.stats().ops.reads_reexecuted;
 
     // aux[32] is read mid-trace; its window is interior to a span.
     e.modify(aux[32], Value::Int(500));
@@ -112,15 +112,15 @@ fn mid_interval_write_splits_and_localizes() {
     assert_eq!(e.deref(chain[64]), Value::Int(500));
 
     assert!(
-        e.stats().interval_splits > splits_before,
+        e.stats().ops.interval_splits > splits_before,
         "mid-trace write did not split its interval"
     );
     // Only stage 32's inner read and the 31 downstream stages whose
     // carried value changed re-execute — not the 32 upstream stages.
-    let reexec = e.stats().reads_reexecuted - reexec_before;
+    let reexec = e.stats().ops.reads_reexecuted - reexec_before;
     assert_eq!(reexec, 32, "split failed to localize re-execution");
     assert_eq!(
-        e.stats().writes_created - created_before,
+        e.stats().ops.writes_created - created_before,
         32,
         "re-execution created records outside its windows"
     );

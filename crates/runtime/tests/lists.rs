@@ -206,7 +206,7 @@ fn map_updates_touch_constant_trace() {
         e.propagate();
     }
     let after_stats = e.stats().clone();
-    let reexecs = after_stats.reads_reexecuted - before.reads_reexecuted;
+    let reexecs = after_stats.ops.reads_reexecuted - before.ops.reads_reexecuted;
     let per_edit = reexecs as f64 / (2 * edits) as f64;
     assert!(
         per_edit < 4.0,

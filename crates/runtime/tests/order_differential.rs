@@ -1,5 +1,5 @@
 //! Differential testing of the two-level order-maintenance list
-//! against the original single-level implementation (`order::naive`).
+//! against the original single-level implementation (`naive`).
 //!
 //! Both structures expose the same API and the naive one is simple
 //! enough to trust by inspection, so driving them through identical
@@ -7,7 +7,9 @@
 //! strong correctness argument for the two-level rewrite — exactly the
 //! role the conventional interpreter plays for the compiler pipeline.
 
-use ceal_runtime::order::{naive, OrderList};
+mod naive;
+
+use ceal_runtime::order::OrderList;
 use ceal_runtime::prng::Prng;
 use std::cmp::Ordering;
 
@@ -166,7 +168,7 @@ fn adversarial_dense_same_point_insertion() {
 /// timestamps; revoking a stale trace interval deletes a contiguous
 /// run). Bursts force group splits, purges force merges of the emptied
 /// neighbors, and every observable answer is pinned against
-/// `order::naive` throughout both paths.
+/// `naive` throughout both paths.
 #[test]
 fn lockstep_dense_bursts_and_range_purges() {
     let mut rng = Prng::seed_from_u64(0x9E37_79B9);

@@ -74,11 +74,11 @@ fn two_region_leases_match_one_combined_pass() {
     // Combined: both edits staged, one propagation pass over both
     // affected regions.
     let mut combined = start();
-    let base_combined = OpCounters::from_stats(combined.e.stats());
+    let base_combined = combined.e.stats().ops;
     combined.e.modify(combined.ins[0], Value::Int(11));
     combined.e.modify(combined.ins[1], Value::Int(21));
     combined.e.propagate();
-    let delta_combined = OpCounters::from_stats(combined.e.stats()).delta(&base_combined);
+    let delta_combined = combined.e.stats().ops.delta(&base_combined);
 
     // Region-by-region: each edit propagated through its own leased
     // RegionCx. Each lease reports its private counter delta; together
@@ -88,9 +88,9 @@ fn two_region_leases_match_one_combined_pass() {
     let mut leased = start();
     let mut merged = OpCounters::default();
     for (i, v) in [(0usize, 11i64), (1, 21)] {
-        let staged = OpCounters::from_stats(leased.e.stats());
+        let staged = leased.e.stats().ops;
         leased.e.modify(leased.ins[i], Value::Int(v));
-        merged.add(&OpCounters::from_stats(leased.e.stats()).delta(&staged));
+        merged.add(&leased.e.stats().ops.delta(&staged));
         let mut cx = leased.e.lease_region();
         cx.propagate();
         let lease_delta = cx.counters_delta();
@@ -119,8 +119,8 @@ fn two_region_leases_match_one_combined_pass() {
     // Lifetime totals line up too: the two engines did the same work,
     // one propagation pass apart.
     assert_eq!(
-        OpCounters::from_stats(leased.e.stats()).propagations,
-        OpCounters::from_stats(combined.e.stats()).propagations + 1,
+        leased.e.stats().ops.propagations,
+        combined.e.stats().ops.propagations + 1,
     );
 
     // Same event stream modulo phase boundaries, and therefore the

@@ -260,14 +260,72 @@ fn phase_counters_sum_to_lifetime_totals() {
     assert!(e.profiled_phases().is_empty());
 }
 
+/// An [`EventHook`] that tallies events into counters, to check hook
+/// placement against the lifetime [`Stats`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct CountingHook {
+    reads_reexecuted: u64,
+    memo_hits: u64,
+    memo_misses: u64,
+    allocs_stolen: u64,
+    trace_created: u64,
+    trace_purged: u64,
+    /// Sum of all `OrderMaintenance` deltas seen.
+    order_ops: u64,
+}
+
+impl EventHook for CountingHook {
+    fn on_event(&mut self, ev: Event) {
+        match ev {
+            Event::ReadReexecuted { .. } => self.reads_reexecuted += 1,
+            Event::MemoHit { .. } => self.memo_hits += 1,
+            Event::MemoMiss { .. } => self.memo_misses += 1,
+            Event::AllocStolen { .. } => self.allocs_stolen += 1,
+            Event::TraceCreated { .. } => self.trace_created += 1,
+            Event::TracePurged { .. } => self.trace_purged += 1,
+            Event::PhaseBegin { .. } | Event::PhaseEnd { .. } => {}
+            Event::OrderMaintenance {
+                relabels,
+                renumbers,
+                splits,
+                merges,
+            } => self.order_ops += relabels + renumbers + splits + merges,
+        }
+    }
+}
+
+#[test]
+fn counting_hook_tallies() {
+    let mut h = CountingHook::default();
+    h.on_event(Event::MemoHit {
+        read: 1,
+        site: SiteId::NONE,
+    });
+    h.on_event(Event::MemoMiss { site: SiteId(3) });
+    h.on_event(Event::TraceCreated {
+        kind: TraceKind::Read,
+        index: 1,
+        site: SiteId(3),
+        interval: 0,
+    });
+    h.on_event(Event::OrderMaintenance {
+        relabels: 1,
+        renumbers: 2,
+        splits: 0,
+        merges: 0,
+    });
+    assert_eq!(h.memo_hits, 1);
+    assert_eq!(h.memo_misses, 1);
+    assert_eq!(h.trace_created, 1);
+    assert_eq!(h.order_ops, 3);
+}
+
 /// The event hook sees exactly the operations the lifetime counters
 /// count: the tallies of a [`CountingHook`] match the corresponding
 /// [`Stats`] deltas.
 #[test]
 fn event_hook_tallies_match_stats() {
     use std::sync::{Arc, Mutex};
-
-    use ceal_runtime::obs::CountingHook;
 
     let (prog, map) = build_map();
     let mut e = Engine::new(prog);
@@ -277,7 +335,7 @@ fn event_hook_tallies_match_stats() {
     drive_session(&mut e, map, 200, 30, 33);
     e.clear_core();
 
-    let s = e.stats().clone();
+    let s = e.stats().ops;
     let h = hook.lock().unwrap();
     assert_eq!(h.reads_reexecuted, s.reads_reexecuted);
     assert_eq!(h.memo_hits, s.memo_hits);
@@ -307,7 +365,7 @@ fn observers_do_not_perturb_execution() {
     let (prog2, map2) = build_map();
     let mut observed = Engine::new(prog2);
     observed.enable_profiling();
-    observed.set_event_hook(Box::new(ceal_runtime::obs::CountingHook::default()));
+    observed.set_event_hook(Box::new(CountingHook::default()));
     let out_observed = drive_session(&mut observed, map2, 180, 25, 55);
 
     assert_eq!(out_plain, out_observed);

@@ -26,12 +26,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ceal_runtime::prng::Prng;
-use ceal_runtime::telemetry::MetricsSnapshot;
 use ceal_runtime::Value;
 
 use crate::metrics::{merge_shards, ShardTelemetry, TelemetryConfig, REQ_KINDS};
 use crate::service::route_key;
 use crate::shard::{Shard, ShardConfig};
+use crate::telemetry::MetricsSnapshot;
 use crate::wire::{EditOp, PolicyArg, Reply, Request, ServiceCounters, Workload};
 
 /// A load-generation spec: sessions, shape of the request stream, and

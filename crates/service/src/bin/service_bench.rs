@@ -23,15 +23,24 @@
 use std::process::ExitCode;
 
 use ceal_bench::profile::{diff_counters, parse_golden, render_golden};
-use ceal_bench::Opts;
 use ceal_service::bench::{golden_path, overhead_probe, render_json, run_lockstep, GATE_SPEC};
 
+const USAGE: &str = "usage: service-bench [--gate] [--overhead-gate] [--out FILE]";
+
 fn main() -> ExitCode {
-    let (sub, opts) = Opts::from_env();
-    // No subcommands: tolerate the binary name's args starting at the
-    // first `--flag` (Opts treats the first arg as a subcommand slot).
-    let gate = opts.has("gate") || sub.as_deref() == Some("--gate");
-    let overhead_gate = opts.has("overhead-gate") || sub.as_deref() == Some("--overhead-gate");
+    let (mut gate, mut overhead_gate, mut out) = (false, false, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--gate" => gate = true,
+            "--overhead-gate" => overhead_gate = true,
+            "--out" => match args.next().filter(|v| !v.starts_with("--")) {
+                Some(v) => out = Some(v),
+                None => return usage("option `--out` needs a value"),
+            },
+            _ => return usage(&format!("unknown option `{arg}`")),
+        }
+    }
 
     eprintln!(
         "service-bench: lockstep gate pass ({} sessions, {} shards)",
@@ -101,8 +110,8 @@ fn main() -> ExitCode {
     }
 
     let json = render_json(&lockstep);
-    if let Some(out) = opts.get("out") {
-        if let Err(e) = std::fs::write(out, &json) {
+    if let Some(out) = out {
+        if let Err(e) = std::fs::write(&out, &json) {
             eprintln!("service-bench: cannot write {out}: {e}");
             return ExitCode::FAILURE;
         }
@@ -111,4 +120,9 @@ fn main() -> ExitCode {
         println!("{json}");
     }
     ExitCode::SUCCESS
+}
+
+fn usage(err: &str) -> ExitCode {
+    eprintln!("service-bench: {err}\n{USAGE}");
+    ExitCode::from(2)
 }

@@ -65,9 +65,9 @@
 //!
 //! Sessions evict to a compact, versioned snapshot format under a
 //! memory budget and restore transparently on the next request; see
-//! [`session`] and DESIGN.md §15. The deterministic load generator and
-//! its CI gate live in [`mod@bench`] (`service-bench` binary,
-//! `BENCH_service.json`).
+//! [`session`], [`snapshot`] and DESIGN.md §15. The deterministic load
+//! generator and its CI gate live in [`mod@bench`] (`service-bench`
+//! binary, `BENCH_service.json`).
 
 #![warn(missing_docs)]
 
@@ -78,6 +78,8 @@ pub mod metrics_http;
 pub mod service;
 pub mod session;
 pub mod shard;
+pub mod snapshot;
+pub mod telemetry;
 pub mod wire;
 
 pub use frontend::{FrontendConfig, TcpFrontend};

@@ -5,7 +5,7 @@
 //! owned (via `Arc`) by both the shard worker and the service handle:
 //! the worker is the only *writer* on the request path (admission
 //! writes only `shed` and `queue_depth`), so the atomics in
-//! [`ceal_runtime::telemetry`] never bounce between cores; the service
+//! [`crate::telemetry`] never bounce between cores; the service
 //! handle reads them only at scrape time, merging all shards' snapshots
 //! into one exposition ([`crate::Service::metrics_snapshot`]).
 //!
@@ -24,10 +24,7 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use ceal_runtime::telemetry::{
-    Counter, Gauge, Histogram, MetricsSnapshot, Registry, SlowRequestRecord,
-};
-
+use crate::telemetry::{Counter, Gauge, Histogram, MetricsSnapshot, Registry, SlowRequestRecord};
 use crate::wire::{CounterDelta, Request, ServiceCounters, ShardStat};
 
 /// How many slow-request records each shard retains for inspection

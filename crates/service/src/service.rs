@@ -24,10 +24,9 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use ceal_runtime::telemetry::MetricsSnapshot;
-
 use crate::metrics::{merge_shards, ReqMeta, ShardTelemetry, TelemetryConfig};
 use crate::shard::{Shard, ShardConfig};
+use crate::telemetry::MetricsSnapshot;
 use crate::wire::{ErrKind, Reply, Request, ServiceCounters, ShardStat};
 
 /// Service-level configuration.

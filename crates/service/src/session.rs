@@ -7,7 +7,7 @@
 //! A session snapshot is **inputs + history**, not trace bits: the spec
 //! that opened the session (workload, `n`, seed, policy) followed by
 //! every edit batch and observation applied since, framed by the
-//! versioned [`ceal_runtime::snapshot`] container. Restoring re-runs
+//! versioned [`crate::snapshot`] container. Restoring re-runs
 //! the program from scratch and replays the history through the same
 //! code paths the live session used — so the restored engine's trace,
 //! deterministic [`OpCounters`] and event-stream digest are *identical*
@@ -20,8 +20,8 @@
 
 use std::sync::Arc;
 
+use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use ceal_runtime::prelude::*;
-use ceal_runtime::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use ceal_suite::input::{random_ints, EditList};
 use ceal_suite::sac::reduce::build_reduce;
 
@@ -214,7 +214,7 @@ impl Session {
     /// the history records the *requested* ops so elision decisions
     /// replay identically.
     pub fn apply_edits(&mut self, ops: &[EditOp]) -> (u32, u32, CounterDelta) {
-        let before = OpCounters::from_stats(self.engine.stats());
+        let before = self.engine.stats().ops;
         let mut applied = 0u32;
         let mut elided = 0u32;
         {
@@ -233,7 +233,7 @@ impl Session {
             batch.commit();
         }
         self.history.push(SessionOp::Edit(ops.to_vec()));
-        let after = OpCounters::from_stats(self.engine.stats());
+        let after = self.engine.stats().ops;
         (
             applied,
             elided,
@@ -245,10 +245,10 @@ impl Session {
     /// coalesced demand-clean pass first; under eager it is a plain
     /// deref.
     pub fn observe(&mut self) -> (Value, CounterDelta) {
-        let before = OpCounters::from_stats(self.engine.stats());
+        let before = self.engine.stats().ops;
         let v = self.engine.observe(self.out);
         self.history.push(SessionOp::Observe);
-        let after = OpCounters::from_stats(self.engine.stats());
+        let after = self.engine.stats().ops;
         (v, CounterDelta::from_counters(&after.delta(&before)))
     }
 
@@ -267,7 +267,7 @@ impl Session {
 
     /// Cumulative deterministic engine counters for this session.
     pub fn counters(&self) -> OpCounters {
-        OpCounters::from_stats(self.engine.stats())
+        self.engine.stats().ops
     }
 
     /// Installs an event hook on the underlying engine (tests use this

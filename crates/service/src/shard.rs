@@ -19,11 +19,15 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ceal_runtime::telemetry::SlowRequestRecord;
-
 use crate::metrics::{ReqKind, ReqMeta, ShardTelemetry, TelemetryConfig, TOP_SITES};
 use crate::session::{ProgramCache, Session, SessionSpec};
+use crate::telemetry::SlowRequestRecord;
 use crate::wire::{CounterDelta, ErrKind, Reply, Request, ServiceCounters, ShardStat};
+
+/// The largest list an `open` may ask for. Far above every `n` in use
+/// (16 in the lockstep gate, 64 in `ceal-benchmark`), it stops one
+/// request line from allocating billions of cells.
+pub const MAX_OPEN_N: u32 = 65_536;
 
 /// Per-shard configuration.
 #[derive(Clone, Copy, Debug)]
@@ -309,6 +313,9 @@ impl Shard {
                         format!("shard at max_sessions={}", self.cfg.max_sessions),
                     );
                 }
+                if *n > MAX_OPEN_N {
+                    return Reply::err(ErrKind::Capacity, format!("n={n} over {MAX_OPEN_N}"));
+                }
                 let spec = SessionSpec {
                     workload: *workload,
                     n: *n,
@@ -559,5 +566,13 @@ mod tests {
         assert!(shard.handle(&open("b", 4, 2)).is_ok());
         let r = shard.handle(&open("c", 4, 3));
         assert!(matches!(r, Reply::Err(ErrKind::Capacity, _)));
+    }
+
+    #[test]
+    fn open_larger_than_max_open_n_is_refused() {
+        let mut shard = Shard::new(ShardConfig::default());
+        let r = shard.handle(&open("big", MAX_OPEN_N + 1, 1));
+        assert!(r.to_string().starts_with("err capacity"), "{r}");
+        assert!(shard.handle(&open("small", 4, 1)).is_ok());
     }
 }

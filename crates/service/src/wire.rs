@@ -538,7 +538,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             let sid = it.next().ok_or("edit: missing session id")?;
             let mut ops = Vec::new();
             for tok in it.by_ref() {
-                let (kind, idx) = tok.split_at(1);
+                // Split after the first character, not the first byte:
+                // a multi-byte first character must not panic the parser.
+                let (kind, idx) = tok.split_at(tok.chars().next().map_or(0, char::len_utf8));
                 let idx: u32 = idx
                     .parse()
                     .map_err(|_| format!("edit: bad op index in `{tok}`"))?;
@@ -652,6 +654,7 @@ mod tests {
             "edit s",
             "edit s x3",
             "edit s d",
+            "edit s é3",
             "observe",
             "ping extra",
         ] {

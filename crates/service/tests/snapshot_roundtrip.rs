@@ -18,8 +18,8 @@
 use std::sync::{Arc, Mutex};
 
 use ceal_runtime::prelude::*;
-use ceal_runtime::snapshot::{SnapshotError, SnapshotWriter};
 use ceal_service::session::{ProgramCache, Session, SessionSpec};
+use ceal_service::snapshot::{SnapshotError, SnapshotWriter};
 use ceal_service::wire::{EditOp, PolicyArg, Workload};
 
 fn attach(s: &mut Session) -> Arc<Mutex<TraceRecorder>> {

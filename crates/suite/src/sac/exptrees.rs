@@ -200,13 +200,13 @@ mod tests {
         let tree = build_exptree(&mut e, 1024, 5);
         let res = e.meta_modref();
         e.run_core(eval, &[Value::ModRef(tree.root), Value::ModRef(res)]);
-        let before = e.stats().reads_reexecuted;
+        let before = e.stats().ops.reads_reexecuted;
         let (slot, _, leaf, alt) = tree.leaves[0];
         e.modify(slot, alt);
         e.propagate();
         e.modify(slot, leaf);
         e.propagate();
-        let reexecs = e.stats().reads_reexecuted - before;
+        let reexecs = e.stats().ops.reads_reexecuted - before;
         // Depth is 10; each level re-executes O(1) reads per swap.
         assert!(
             reexecs <= 2 * 3 * 11,

@@ -286,7 +286,7 @@ mod tests {
         let l = int_list(&mut e, 1_000, 14);
         let out = e.meta_modref();
         e.run_core(rev, &[Value::ModRef(l.head), Value::ModRef(out)]);
-        let base = e.stats().reads_reexecuted;
+        let base = e.stats().ops.reads_reexecuted;
         let edits = 100;
         for _ in 0..edits {
             let i = rng.gen_range(0..l.len());
@@ -295,7 +295,7 @@ mod tests {
             l.insert(&mut e, i);
             e.propagate();
         }
-        let per = (e.stats().reads_reexecuted - base) as f64 / (2.0 * edits as f64);
+        let per = (e.stats().ops.reads_reexecuted - base) as f64 / (2.0 * edits as f64);
         assert!(per < 4.0, "reverse edits should be O(1): measured {per:.2}");
     }
 }

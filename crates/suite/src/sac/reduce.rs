@@ -320,7 +320,7 @@ mod tests {
             let l = int_list(&mut e, n, 78);
             let res = e.meta_modref();
             e.run_core(f, &[Value::ModRef(l.head), Value::ModRef(res)]);
-            let base = e.stats().reads_reexecuted + e.stats().memo_hits;
+            let base = e.stats().ops.reads_reexecuted + e.stats().ops.memo_hits;
             let edits = 50;
             for _ in 0..edits {
                 let i = rng.gen_range(0..n);
@@ -329,7 +329,7 @@ mod tests {
                 l.insert(&mut e, i);
                 e.propagate();
             }
-            let total = e.stats().reads_reexecuted + e.stats().memo_hits - base;
+            let total = e.stats().ops.reads_reexecuted + e.stats().ops.memo_hits - base;
             work_per_edit.push(total as f64 / (2.0 * edits as f64));
         }
         let ratio = work_per_edit[1] / work_per_edit[0];

@@ -427,7 +427,7 @@ mod tests {
             let out = e.meta_modref();
             e.run_core(sort, &[Value::ModRef(l.head), Value::ModRef(out)]);
             let mut rng = Prng::seed_from_u64(46);
-            let base = e.stats().reads_reexecuted + e.stats().memo_hits;
+            let base = e.stats().ops.reads_reexecuted + e.stats().ops.memo_hits;
             let edits = 40;
             for _ in 0..edits {
                 let i = rng.gen_range(0..n);
@@ -437,7 +437,7 @@ mod tests {
                 e.propagate();
             }
             work.push(
-                (e.stats().reads_reexecuted + e.stats().memo_hits - base) as f64
+                (e.stats().ops.reads_reexecuted + e.stats().ops.memo_hits - base) as f64
                     / (2.0 * edits as f64),
             );
         }

@@ -668,7 +668,7 @@ mod tests {
             let res = e.meta_modref();
             e.run_core(tcon, &[Value::ModRef(tree.root), Value::ModRef(res)]);
             let mut rng = Prng::seed_from_u64(6);
-            let base = e.stats().reads_reexecuted + e.stats().memo_hits;
+            let base = e.stats().ops.reads_reexecuted + e.stats().ops.memo_hits;
             let edits = 40;
             for _ in 0..edits {
                 let i = rng.gen_range(0..tree.edges.len());
@@ -679,7 +679,7 @@ mod tests {
                 }
             }
             work.push(
-                (e.stats().reads_reexecuted + e.stats().memo_hits - base) as f64
+                (e.stats().ops.reads_reexecuted + e.stats().ops.memo_hits - base) as f64
                     / (2.0 * edits as f64),
             );
         }

@@ -57,10 +57,10 @@ use std::sync::Arc;
 
 use ceal_compiler::target::{TFunc, TInstr, TOperand, TProgram};
 use ceal_ir::cl::Prim;
-use ceal_runtime::api::{Engine, EngineConfig, RegionCx};
 use ceal_runtime::error::CealError;
 use ceal_runtime::program::{OpaqueFn, ProgramBuilder, Tail};
 use ceal_runtime::value::{FuncId, Value};
+use ceal_runtime::{Engine, EngineConfig, RegionCx};
 
 /// Execution options (§6.3 refinements).
 #[derive(Clone, Copy, Debug)]
@@ -629,13 +629,13 @@ mod tests {
         e.modify(a, Value::Int(1));
         e.modify(b, Value::Int(2));
         e.run_core(add, &[Value::ModRef(a), Value::ModRef(b), Value::ModRef(d)]);
-        let base = e.stats().reads_reexecuted;
+        let base = e.stats().ops.reads_reexecuted;
         e.modify(b, Value::Int(5));
         e.propagate();
         assert_eq!(e.deref(d), Value::Int(6));
         // Only the read of b re-executes — the paper's point about
         // normalization approximating precise dependencies.
-        assert_eq!(e.stats().reads_reexecuted - base, 1);
+        assert_eq!(e.stats().ops.reads_reexecuted - base, 1);
     }
 
     /// The instruction counter is deterministic: two identical sessions
@@ -736,8 +736,8 @@ mod tests {
 
     #[test]
     fn run_reports_unknown_entry_and_runs_known_ones() {
-        use ceal_runtime::api::EngineConfig;
         use ceal_runtime::CealError;
+        use ceal_runtime::EngineConfig;
 
         let out = compile_copy();
         let err = run(

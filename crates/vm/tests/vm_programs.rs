@@ -63,7 +63,7 @@ fn run_sum(read_trampoline: bool, n: i64) -> (Value, u64) {
     // Update once, too.
     e.modify(nm, Value::Int(n + 1));
     e.propagate();
-    (e.deref(om), e.stats().reads_created)
+    (e.deref(om), e.stats().ops.reads_created)
 }
 
 #[test]

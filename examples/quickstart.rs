@@ -109,12 +109,12 @@ fn main() {
     let six = leaf(&mut e, 6);
     let seven = leaf(&mut e, 7);
     let (sub, _, _) = node(&mut e, PLUS, six, seven);
-    let before = e.stats().reads_reexecuted;
+    let before = e.stats().ops.reads_reexecuted;
     e.modify(k_slot, sub);
     e.propagate();
     println!("(3 + 4) - (1 - 2) + (5 - (6 + 7))    = {}", e.deref(result));
     println!(
         "change propagation re-executed {} reads (path to the root), not the whole tree",
-        e.stats().reads_reexecuted - before
+        e.stats().ops.reads_reexecuted - before
     );
 }

@@ -151,11 +151,11 @@ fn compiled_exptrees_updates_are_path_sized() {
     e.modify(root, tree);
     let res = e.meta_modref();
     e.run_core(eval, &[Value::ModRef(root), Value::ModRef(res)]);
-    let before = e.stats().reads_reexecuted;
+    let before = e.stats().ops.reads_reexecuted;
     let (slot, _, alt) = slots[0];
     e.modify(slot, alt);
     e.propagate();
-    let reexecs = e.stats().reads_reexecuted - before;
+    let reexecs = e.stats().ops.reads_reexecuted - before;
     assert!(
         reexecs <= 4 * depth as u64,
         "expected O(depth) re-execution, got {reexecs}"
